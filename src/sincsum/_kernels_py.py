@@ -219,6 +219,16 @@ def power_sum_zeta(r: float, x: float) -> float:
     return head + pref * (z0 + z1)
 
 
+def _head_deriv(u: float, du: float, s: float) -> float:
+    """d/dx u^s = s u^(s-1) u'; 0 where u vanishes, since s - 1 > 0.
+
+    u = 0 happens when x - 1 rounds to -1 for x within an ulp of 0.
+    """
+    if u == 0.0 and s > 1.0:
+        return 0.0
+    return s * math.exp((s - 1.0) * math.log(u)) * du
+
+
 def power_sum_deriv(r: float, x: float) -> float:
     """d/dx of the power sum via the closed form, for x in (0,1).
 
@@ -232,8 +242,7 @@ def power_sum_deriv(r: float, x: float) -> float:
     du = dsinc(x)
     v = sinc(x - 1.0)
     dv = dsinc(x - 1.0)
-    d_head = s * math.exp((s - 1.0) * math.log(u)) * du
-    d_head += s * math.exp((s - 1.0) * math.log(v)) * dv
+    d_head = _head_deriv(u, du, s) + _head_deriv(v, dv, s)
 
     sp = math.sin(PI * x)
     lsp = math.log(sp)

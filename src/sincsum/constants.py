@@ -16,6 +16,7 @@ log space so the formulas stay finite for q in the thousands.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +25,9 @@ from .specfun import bernoulli, hurwitz_zeta
 
 _LOG2 = math.log(2.0)
 _LOG_PI = math.log(math.pi)
+
+#: Largest dimension whose crude bound (pi/2)^d is a finite double (1571).
+CRUDE_D_MAX = int(math.log(sys.float_info.max) / math.log(0.5 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -103,12 +107,19 @@ def crude_bound(d: int) -> float:
     """(pi/2)^d, the dimension-d bound that needs no zeta evaluation."""
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
+    if d > CRUDE_D_MAX:
+        raise DomainError(
+            f"d = {d} is too large: (pi/2)^d overflows a double above "
+            f"d = {CRUDE_D_MAX}, the largest supported d"
+        )
     return (0.5 * math.pi) ** d
 
 
 def transference_factor(query: ConstantQuery) -> ConstantReport:
     """Full report for one query: minimum constant, comparison factor, bounds."""
     q, d = query.q, query.d
+    # factor <= crude, so checking crude's range first keeps exp() finite.
+    crude = crude_bound(d)
     log_c = _log_halfshift_sum(q) - q * _LOG_PI
     factor = math.exp(-(d / q) * log_c)
     exact = None
@@ -119,7 +130,7 @@ def transference_factor(query: ConstantQuery) -> ConstantReport:
         d=d,
         c_q=math.exp(log_c),
         factor=factor,
-        crude=crude_bound(d),
+        crude=crude,
         exact_c_q=exact,
     )
 

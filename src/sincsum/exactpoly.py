@@ -8,9 +8,15 @@ operator recursion
     P_{r+1} = [4y(r - yD)^2 + 8(r - yD)yD + 2yD + 2r + 4yD^2 + 2D] P_r
               / (2r (2r + 1)),
 
-with D = d/dy, applied in exactly that grouping using elementary polynomial
-operations (differentiate, multiply by y, scalar combine).  The scaling
-1/(2r(2r+1)) equals (2r-1)!/(2r+1)!.
+with D = d/dy.  The scaling 1/(2r(2r+1)) equals (2r-1)!/(2r+1)!, so
+P_r = Q_r / (2r-1)! with integer Q_r, and the operator acts on monomials
+as a three-term recurrence on those integers:
+
+    Q_{r+1}[j] = 4(r-j+1)^2 Q_r[j-1] + (8j(r-j) + 2j + 2r) Q_r[j]
+                 + 2(j+1)(2j+1) Q_r[j+1],    j = 0..r.
+
+The coefficients summing to 1 reads sum(Q_r) = (2r-1)! (derivation in
+docs/derivations.md, section 8).
 
 Nonnegativity of the coefficients is an exact certificate that the minimum
 of P_r over y in [0,1] sits at y = 0, i.e. the power sum minimum over x is
@@ -54,30 +60,19 @@ class SincPolynomial:
         return len(self.coeffs) - 1
 
 
-def _deriv(c: list[Fraction]) -> list[Fraction]:
-    return [k * c[k] for k in range(1, len(c))]
+def _step_ints(q: list[int], r: int) -> list[int]:
+    """Integer numerators Q_r -> Q_{r+1}, where P_r = Q_r / (2r-1)!.
 
-
-def _times_y(c: list[Fraction]) -> list[Fraction]:
-    return [Fraction(0)] + c if c else []
-
-
-def _add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for k, v in enumerate(b):
-        out[k] += v
-    return out
-
-
-def _scale(c: list[Fraction], f: Fraction) -> list[Fraction]:
-    return [f * v for v in c]
-
-
-def _r_minus_yd(c: list[Fraction], r: int) -> list[Fraction]:
-    # y*D acts diagonally on monomials: (r - yD) y^k = (r - k) y^k.
-    return [(r - k) * v for k, v in enumerate(c)]
+    The operator maps y^j to 4(r-j)^2 y^(j+1) + (8j(r-j) + 2j + 2r) y^j
+    + 2j(2j-1) y^(j-1), so each output coefficient takes three inputs.
+    """
+    padded = [0, *q, 0, 0]
+    return [
+        4 * (r - j + 1) ** 2 * padded[j]
+        + (8 * j * (r - j) + 2 * j + 2 * r) * padded[j + 1]
+        + 2 * (j + 1) * (2 * j + 1) * padded[j + 2]
+        for j in range(r + 1)
+    ]
 
 
 def poly_step(p: SincPolynomial) -> SincPolynomial:
@@ -85,52 +80,48 @@ def poly_step(p: SincPolynomial) -> SincPolynomial:
     r = p.r
     if r + 1 > R_CAP:
         raise SizeLimitError(f"polynomial order {r + 1} exceeds cap {R_CAP}")
-    c = list(p.coeffs)
-    dc = _deriv(c)
-
-    term1 = _scale(_times_y(_r_minus_yd(_r_minus_yd(c, r), r)), Fraction(4))
-    term2 = _scale(_r_minus_yd(_times_y(dc), r), Fraction(8))
-    term3 = _scale(_times_y(dc), Fraction(2))
-    term4 = _scale(c, Fraction(2 * r))
-    term5 = _scale(_times_y(_deriv(dc)), Fraction(4))
-    term6 = _scale(dc, Fraction(2))
-
-    total = term1
-    for t in (term2, term3, term4, term5, term6):
-        total = _add(total, t)
-    total = _scale(total, Fraction(1, 2 * r * (2 * r + 1)))
-
-    while len(total) < r + 1:
-        total.append(Fraction(0))
-    return SincPolynomial(r=r + 1, coeffs=tuple(total[: r + 1]))
+    lcm = math.lcm(*(c.denominator for c in p.coeffs))
+    q = [c.numerator * (lcm // c.denominator) for c in p.coeffs]
+    scale = lcm * 2 * r * (2 * r + 1)
+    return SincPolynomial(
+        r=r + 1, coeffs=tuple(Fraction(v, scale) for v in _step_ints(q, r))
+    )
 
 
 _poly_cache: dict[int, SincPolynomial] = {1: SincPolynomial(1, (Fraction(1),))}
+#: Integer numerators Q_r of the highest cached order, where growth resumes.
+_poly_top: tuple[int, list[int]] = (1, [1])
 _poly_lock = threading.Lock()
 
 
 def poly_f(r: int) -> SincPolynomial:
     """P_r by iterating the recursion from P_1 = 1, with all invariants checked."""
+    global _poly_top
     if not isinstance(r, int) or r < 1 or r > R_CAP:
         raise SizeLimitError(f"r must be an integer in [1, {R_CAP}], got {r!r}")
     if r not in _poly_cache:
         with _poly_lock:
-            top = max(_poly_cache)
-            p = _poly_cache[top]
-            for k in range(top, r):
-                p = poly_step(p)
-                _check_invariants(p)
-                _poly_cache[k + 1] = p
+            k, q = _poly_top
+            while k < r:
+                q = _step_ints(q, k)
+                k += 1
+                scale = math.factorial(2 * k - 1)
+                _check_invariants(k, q, scale)
+                _poly_cache[k] = SincPolynomial(
+                    k, tuple(Fraction(v, scale) for v in q)
+                )
+                _poly_top = (k, q)
     return _poly_cache[r]
 
 
-def _check_invariants(p: SincPolynomial) -> None:
-    if p.coeffs[-1] == 0:
-        raise CertificateError(f"P_{p.r} has degree below {p.r - 1}")
-    if any(c < 0 for c in p.coeffs):
-        raise CertificateError(f"P_{p.r} has a negative coefficient")
-    if sum(p.coeffs, Fraction(0)) != 1:
-        raise CertificateError(f"P_{p.r} coefficients do not sum to 1")
+def _check_invariants(r: int, q: list[int], scale: int) -> None:
+    """Exact checks on P_r = q / scale with scale = (2r-1)!."""
+    if q[-1] == 0:
+        raise CertificateError(f"P_{r} has degree below {r - 1}")
+    if any(v < 0 for v in q):
+        raise CertificateError(f"P_{r} has a negative coefficient")
+    if sum(q) != scale:
+        raise CertificateError(f"P_{r} coefficients do not sum to 1")
 
 
 def poly_eval(p: SincPolynomial, x: float) -> float:

@@ -6,6 +6,7 @@ mpmath (a wholly separate implementation) for high-precision references.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -71,9 +72,68 @@ def power_sum_mp(r, x, dps: int = 40) -> mp.mpf:
 
 
 def power_sum_deriv_mp(r, x, dps: int = 40) -> mp.mpf:
-    """High-precision derivative via mpmath differentiation."""
+    """High-precision derivative via mpmath differentiation.
+
+    ``mp.diff`` doubles the working precision and steps about 2^-(prec+10)
+    away from x, so the power sum is evaluated at 3*dps digits: at fewer,
+    x +- step would round back to x.  The step stays inside (0, 1) for
+    x as close to an endpoint as 1e-20.
+    """
     with mp.workdps(dps):
-        return mp.diff(lambda t: power_sum_mp(r, t, dps=dps + 10), mp.mpf(x))
+        return mp.diff(lambda t: power_sum_mp(r, t, dps=3 * dps), mp.mpf(x))
+
+
+def _deriv(c: list[Fraction]) -> list[Fraction]:
+    return [k * c[k] for k in range(1, len(c))]
+
+
+def _times_y(c: list[Fraction]) -> list[Fraction]:
+    return [Fraction(0)] + c if c else []
+
+
+def _add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, v in enumerate(b):
+        out[k] += v
+    return out
+
+
+def _scale(c: list[Fraction], f: Fraction) -> list[Fraction]:
+    return [f * v for v in c]
+
+
+def _r_minus_yd(c: list[Fraction], r: int) -> list[Fraction]:
+    # y*D acts diagonally on monomials: (r - yD) y^k = (r - k) y^k.
+    return [(r - k) * v for k, v in enumerate(c)]
+
+
+def poly_step_operator(coeffs, r: int) -> tuple[Fraction, ...]:
+    """P_r -> P_{r+1} by the operator recursion, in its written grouping
+
+        [4y(r - yD)^2 + 8(r - yD)yD + 2yD + 2r + 4yD^2 + 2D] P_r / (2r(2r+1)),
+
+    built from elementary Fraction polynomial operations (differentiate,
+    multiply by y, scalar combine), independent of the library's integer
+    three-term recurrence.
+    """
+    c = list(coeffs)
+    dc = _deriv(c)
+    terms = (
+        _scale(_times_y(_r_minus_yd(_r_minus_yd(c, r), r)), Fraction(4)),
+        _scale(_r_minus_yd(_times_y(dc), r), Fraction(8)),
+        _scale(_times_y(dc), Fraction(2)),
+        _scale(c, Fraction(2 * r)),
+        _scale(_times_y(_deriv(dc)), Fraction(4)),
+        _scale(dc, Fraction(2)),
+    )
+    total: list[Fraction] = []
+    for t in terms:
+        total = _add(total, t)
+    total = _scale(total, Fraction(1, 2 * r * (2 * r + 1)))
+    total += [Fraction(0)] * (r + 1 - len(total))
+    return tuple(total[: r + 1])
 
 
 def uniform_grid(n: int) -> list[float]:

@@ -89,6 +89,16 @@ class TestConstants:
     def test_domain(self):
         assert run_cli(["constants", "--q", "1.5"])[0] == 2
 
+    @pytest.mark.parametrize(
+        "q, d, why", [("2", "2000", "1571"), ("1e6", "1", "Bernoulli")]
+    )
+    def test_too_large_exits_2(self, q, d, why):
+        code, out, err = run_cli(["constants", "--q", q, "--d", d])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and why in err
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_reduced_suite_passes(self):

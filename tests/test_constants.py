@@ -20,6 +20,7 @@ from sincsum import (
     power_sum,
     transference_factor,
 )
+from sincsum.constants import CRUDE_D_MAX
 
 
 class TestMinConstant:
@@ -106,6 +107,11 @@ class TestCrudeBound:
         assert crude_bound(1) == pytest.approx(math.pi / 2.0, abs=1e-15)
         assert crude_bound(2) == pytest.approx(math.pi**2 / 4.0, abs=1e-14)
         assert crude_bound(3) == pytest.approx((math.pi / 2.0) ** 3, abs=1e-14)
+
+    def test_largest_dimension(self):
+        assert math.isfinite(crude_bound(CRUDE_D_MAX))
+        with pytest.raises(DomainError, match=str(CRUDE_D_MAX)):
+            crude_bound(CRUDE_D_MAX + 1)
 
 
 class TestHalfShiftNorm:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from helpers import poly_step_operator
 from sincsum import (
     CertificateError,
     EvalConfig,
@@ -20,6 +21,7 @@ from sincsum import (
     power_sum,
     power_sum_zeta,
 )
+from sincsum import exactpoly
 
 F = Fraction
 
@@ -46,6 +48,27 @@ class TestRecursion:
     def test_step_chain(self):
         p = poly_f(4)
         assert poly_step(p).coeffs == REFERENCE_TABLES[5]
+
+    def test_matches_operator_oracle(self):
+        expected = (F(1),)
+        for r in range(1, 41):
+            assert poly_f(r).coeffs == expected
+            expected = poly_step_operator(expected, r)
+
+    def test_step_unrelated_denominators(self):
+        # arbitrary rationals, one negative: poly_step must not rely on the
+        # (2r-1)! denominators or the signs of a genuine P_r
+        p = SincPolynomial(4, (F(3, 7), F(-5, 11), F(2, 9), F(13, 25)))
+        assert poly_step(p).coeffs == poly_step_operator(p.coeffs, 4)
+
+    @pytest.mark.parametrize(
+        "q, scale",
+        [([1, 2, 0], 3), ([3, -1, 4], 6), ([1, 2, 3], 7)],
+        ids=["degree", "negative", "sum"],
+    )
+    def test_invariant_failures_raise(self, q, scale):
+        with pytest.raises(CertificateError):
+            exactpoly._check_invariants(3, q, scale)
 
     def test_order_cap(self):
         with pytest.raises(SizeLimitError):

@@ -9,7 +9,8 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import power_sum_brute, zeta_brute
+from helpers import power_sum_brute, power_sum_deriv_mp, zeta_brute
+from sincsum import _kernels_py, specfun
 from sincsum import (
     DomainError,
     EvalConfig,
@@ -28,6 +29,15 @@ from sincsum import (
 )
 
 
+def sympy_bernoulli(n_max: int) -> list[Fraction]:
+    """B_0..B_{n_max} from sympy, converted to the B_1 = -1/2 convention."""
+    table = []
+    for n in range(n_max + 1):
+        ref = sympy.Rational(-1, 2) if n == 1 else sympy.bernoulli(n)
+        table.append(Fraction(int(ref.p), int(ref.q)))
+    return table
+
+
 class TestBernoulli:
     def test_small_values(self):
         assert bernoulli(0) == [Fraction(1)]
@@ -35,12 +45,18 @@ class TestBernoulli:
         assert bernoulli(4)[4] == Fraction(-1, 30)
 
     def test_against_sympy(self):
-        ours = bernoulli(60)
-        for n in range(61):
-            ref = sympy.bernoulli(n)
-            if n == 1:
-                ref = sympy.Rational(-1, 2)  # sympy uses B_1 = +1/2
-            assert ours[n] == Fraction(int(ref.p), int(ref.q))
+        # zeta_even reaches B_{2n} up to 2n = FACTORIAL_CAP
+        n_max = specfun.FACTORIAL_CAP
+        assert bernoulli(n_max) == sympy_bernoulli(n_max)
+
+    def test_cache_growth(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_bernoulli_cache", [Fraction(1)])
+        for n_max in (3, 201, 10):
+            assert bernoulli(n_max) == sympy_bernoulli(n_max)
+
+    def test_cap(self):
+        with pytest.raises(SizeLimitError):
+            bernoulli(specfun.BERNOULLI_CAP + 1)
 
     def test_defining_recurrence_exactly(self):
         table = bernoulli(60)
@@ -220,6 +236,14 @@ class TestPowerSumDeriv:
         a = power_sum_deriv(EvalPoint(r, x))
         b = power_sum_deriv(EvalPoint(r, 1.0 - x))
         assert abs(a + b) <= 1e-10 * max(1.0, abs(a))
+
+    @pytest.mark.parametrize("r", [1.0, 2.0, 7.5, 40.0])
+    @pytest.mark.parametrize("x", [1e-20, 1.0 - 1e-16])
+    def test_next_to_endpoints(self, r, x):
+        # at x = 1e-20, x - 1 rounds to -1, so the sinc(x - 1) head term is 0
+        ref = float(power_sum_deriv_mp(r, x))
+        assert _kernels_py.power_sum_deriv(r, x) == pytest.approx(ref, abs=1e-12)
+        assert power_sum_deriv(EvalPoint(r, x)) == pytest.approx(ref, abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
