@@ -1,20 +1,10 @@
-import os
-
 from setuptools import Extension, setup
 
-# The compiled kernel module is optional: the package falls back to the pure
-# Python twin (sincsum._kernels_py) when the extension is absent.  Set
-# SINCSUM_NO_EXT=1 to skip compilation entirely.
-extensions = []
-if not os.environ.get("SINCSUM_NO_EXT"):
-    try:
-        from Cython.Build import cythonize
-
-        extensions = cythonize(
-            [Extension("sincsum._kernels_cy", ["src/sincsum/_kernels_cy.pyx"])],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        extensions = []
-
-setup(ext_modules=extensions)
+# The compiled kernel module is optional: if it fails to build, the install
+# still succeeds and the package falls back to the pure Python twin
+# (sincsum._kernels_py).
+setup(
+    ext_modules=[
+        Extension("sincsum._kernels_c", ["src/sincsum/_kernels_c.c"], optional=True)
+    ]
+)

@@ -1,0 +1,360 @@
+/* Compiled twin of sincsum._kernels_py.
+ *
+ * Same algorithms, same summation order, same Kahan steps and the same
+ * guards, statement for statement; only the interpreter overhead is gone.
+ * Keep the two files in lockstep: tests/test_backends.py compares them for
+ * exact equality.  Both call the platform libm (sin, cos, exp, log, pow), and
+ * contraction into fused multiply-adds is switched off below, so every
+ * operation rounds exactly as the matching Python float operation does.
+ */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <math.h>
+
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#elif defined(__GNUC__)
+#pragma GCC optimize("fp-contract=off")
+#endif
+
+static const double PI = 3.141592653589793;
+static const double LOG_PI = 1.1447298858494002; /* math.log(math.pi) */
+
+/* B_{2j}/(2j)! for j = 1..8 and the |B_18|/18! remainder gauge. */
+static const double EM_COEF[8] = {
+    1.0 / 12.0,
+    -1.0 / 720.0,
+    1.0 / 30240.0,
+    -1.0 / 1209600.0,
+    1.0 / 47900160.0,
+    -691.0 / 1307674368000.0,
+    1.0 / 74724249600.0,
+    -3617.0 / 10670622842880000.0,
+};
+static const double EM_NEXT = 43867.0 / 5109094217170944000.0;
+
+static const double FLOAT_SLACK = 1e-14;
+
+/* sinc'(x) = pi^2 x G((pi x)^2), G(u) = sum_k (-1)^k 2k u^(k-1)/(2k+1)!. */
+static const double DSINC_COEF[8] = {
+    -1.0 / 3.0,
+    1.0 / 30.0,
+    -1.0 / 840.0,
+    1.0 / 45360.0,
+    -1.0 / 3991680.0,
+    1.0 / 518918400.0,
+    -7.0 / 653837184000.0,
+    1.0 / 22230464256000.0,
+};
+
+/* A (value, bound) pair: zeta_em's (value, gauge), power_sum_fixed's
+ * (value, tail_bound). */
+typedef struct {
+    double value, bound;
+} pair;
+
+static double
+sinc_d(double x)
+{
+    double t, u;
+    if (fabs(x) < 1e-4) {
+        t = PI * x;
+        u = t * t;
+        return 1.0 - u / 6.0 + (u * u) / 120.0;
+    }
+    if (x == floor(x))
+        return 0.0; /* sin(pi*m) is exactly 0 at integers; libm's is not */
+    t = PI * x;
+    return sin(t) / t;
+}
+
+static double
+dsinc_d(double x)
+{
+    double u, g;
+    int k;
+    if (fabs(x) < 0.125) {
+        u = (PI * x) * (PI * x);
+        g = DSINC_COEF[7];
+        for (k = 6; k >= 0; k--)
+            g = g * u + DSINC_COEF[k];
+        return PI * PI * x * g;
+    }
+    return (cos(PI * x) - sinc_d(x)) / x;
+}
+
+static pair
+zeta_em_d(double s, double a)
+{
+    int n = a >= 24.0 ? 0 : 24;
+    int k, j;
+    double w, acc, c, term, y, t, base, total, w2, g, corr, gauge;
+    for (;;) {
+        w = n + a;
+        acc = 0.0;
+        c = 0.0;
+        for (k = n - 1; k >= 0; k--) {
+            term = pow(k + a, -s);
+            y = term - c;
+            t = acc + y;
+            c = (t - acc) - y;
+            acc = t;
+        }
+        base = pow(w, -s);
+        total = acc + base * w / (s - 1.0) + 0.5 * base;
+        w2 = w * w;
+        g = base * s / w;
+        corr = 0.0;
+        for (j = 1; j <= 8; j++) {
+            corr += EM_COEF[j - 1] * g;
+            g *= (s + 2.0 * j - 1.0) * (s + 2.0 * j) / w2;
+        }
+        total += corr;
+        gauge = EM_NEXT * g;
+        if (gauge <= 1e-14 || gauge <= 1e-16 * fabs(total) || n >= 1 << 16)
+            return (pair){total, gauge};
+        n = n ? n * 2 : 24;
+    }
+}
+
+static double
+abs_sinc_pow(double x, double s)
+{
+    double u = sinc_d(x);
+    if (u == 0.0)
+        return 0.0;
+    return exp(s * log(fabs(u)));
+}
+
+static pair
+power_sum_fixed_d(double r, double x, long m_terms)
+{
+    double s = 2.0 * r;
+    double acc = 0.0, c = 0.0;
+    double term, y, t, sp, pref, xm[2];
+    pair zr, zl;
+    long k;
+    int i;
+    for (k = m_terms; k > 0; k--) {
+        xm[0] = x + k;
+        xm[1] = x - k;
+        for (i = 0; i < 2; i++) {
+            term = abs_sinc_pow(xm[i], s);
+            if (term != 0.0) {
+                y = term - c;
+                t = acc + y;
+                c = (t - acc) - y;
+                acc = t;
+            }
+        }
+    }
+    term = abs_sinc_pow(x, s);
+    y = term - c;
+    acc = acc + y;
+
+    sp = fabs(sin(PI * x));
+    if (sp == 0.0)
+        return (pair){acc, FLOAT_SLACK};
+    pref = exp(s * (log(sp) - LOG_PI));
+    if (pref == 0.0)
+        return (pair){acc, FLOAT_SLACK};
+    zr = zeta_em_d(s, m_terms + 1.0 + x);
+    zl = zeta_em_d(s, m_terms + 1.0 - x);
+    return (pair){acc + pref * (zr.value + zl.value),
+                  pref * (zr.bound + zl.bound) + FLOAT_SLACK};
+}
+
+static double
+power_sum_zeta_d(double r, double x)
+{
+    double s, head, sp, pref, z0, z1;
+    if (x <= 0.0 || x >= 1.0)
+        return 1.0;
+    s = 2.0 * r;
+    head = abs_sinc_pow(x, s) + abs_sinc_pow(x - 1.0, s);
+    sp = sin(PI * x);
+    pref = exp(s * (log(sp) - LOG_PI));
+    if (pref == 0.0)
+        return head;
+    z0 = zeta_em_d(s, 1.0 + x).value;
+    z1 = zeta_em_d(s, 2.0 - x).value;
+    return head + pref * (z0 + z1);
+}
+
+/* d/dx u^s = s u^(s-1) u'; 0 where u vanishes, since s - 1 > 0. */
+static double
+head_deriv(double u, double du, double s)
+{
+    if (u == 0.0 && s > 1.0)
+        return 0.0;
+    return s * exp((s - 1.0) * log(u)) * du;
+}
+
+static double
+power_sum_deriv_d(double r, double x)
+{
+    double s = 2.0 * r;
+    double u = sinc_d(x);
+    double du = dsinc_d(x);
+    double v = sinc_d(x - 1.0);
+    double dv = dsinc_d(x - 1.0);
+    double d_head = head_deriv(u, du, s) + head_deriv(v, dv, s);
+
+    double sp = sin(PI * x);
+    double lsp = log(sp);
+    double pref = exp(s * (lsp - LOG_PI));
+    double d_pref = s * PI * cos(PI * x) * exp((s - 1.0) * lsp - s * LOG_PI);
+
+    double z0 = zeta_em_d(s, 1.0 + x).value;
+    double z1 = zeta_em_d(s, 2.0 - x).value;
+    double dz0 = zeta_em_d(s + 1.0, 1.0 + x).value;
+    double dz1 = zeta_em_d(s + 1.0, 2.0 - x).value;
+    return d_head + d_pref * (z0 + z1) + pref * s * (dz1 - dz0);
+}
+
+/* ---- Python wrappers ------------------------------------------------- */
+
+/* Convert exactly n positional float arguments; 0 on success, -1 with an
+ * exception set otherwise. */
+static int
+float_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
+           Py_ssize_t n, double *out)
+{
+    Py_ssize_t i;
+    if (nargs != n) {
+        PyErr_Format(PyExc_TypeError, "%s() takes exactly %zd arguments (%zd given)",
+                     name, n, nargs);
+        return -1;
+    }
+    for (i = 0; i < n; i++) {
+        out[i] = PyFloat_AsDouble(args[i]);
+        if (out[i] == -1.0 && PyErr_Occurred())
+            return -1;
+    }
+    return 0;
+}
+
+static PyObject *
+pair_tuple(pair p)
+{
+    PyObject *v = PyFloat_FromDouble(p.value);
+    PyObject *b = v ? PyFloat_FromDouble(p.bound) : NULL;
+    PyObject *t = b ? PyTuple_Pack(2, v, b) : NULL;
+    Py_XDECREF(v);
+    Py_XDECREF(b);
+    return t;
+}
+
+static PyObject *
+py_backend_name(PyObject *self, PyObject *unused)
+{
+    return PyUnicode_FromString("compiled");
+}
+
+static PyObject *
+py_sinc(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    double a[1];
+    if (float_args("sinc", args, nargs, 1, a) < 0)
+        return NULL;
+    return PyFloat_FromDouble(sinc_d(a[0]));
+}
+
+static PyObject *
+py_sinc_sq(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    double a[1], s;
+    if (float_args("sinc_sq", args, nargs, 1, a) < 0)
+        return NULL;
+    s = sinc_d(a[0]);
+    return PyFloat_FromDouble(s * s);
+}
+
+static PyObject *
+py_dsinc(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    double a[1];
+    if (float_args("dsinc", args, nargs, 1, a) < 0)
+        return NULL;
+    return PyFloat_FromDouble(dsinc_d(a[0]));
+}
+
+static PyObject *
+py_zeta_em(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    double a[2];
+    if (float_args("zeta_em", args, nargs, 2, a) < 0)
+        return NULL;
+    return pair_tuple(zeta_em_d(a[0], a[1]));
+}
+
+static PyObject *
+py_power_sum_fixed(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    double a[2];
+    long m_terms;
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError,
+                     "power_sum_fixed() takes exactly 3 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    if (float_args("power_sum_fixed", args, 2, 2, a) < 0)
+        return NULL;
+    m_terms = PyLong_AsLong(args[2]);
+    if (m_terms == -1 && PyErr_Occurred())
+        return NULL;
+    return pair_tuple(power_sum_fixed_d(a[0], a[1], m_terms));
+}
+
+static PyObject *
+py_power_sum_zeta(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    double a[2];
+    if (float_args("power_sum_zeta", args, nargs, 2, a) < 0)
+        return NULL;
+    return PyFloat_FromDouble(power_sum_zeta_d(a[0], a[1]));
+}
+
+static PyObject *
+py_power_sum_deriv(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    double a[2];
+    if (float_args("power_sum_deriv", args, nargs, 2, a) < 0)
+        return NULL;
+    return PyFloat_FromDouble(power_sum_deriv_d(a[0], a[1]));
+}
+
+#define FASTCALL(name, doc) \
+    {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
+
+static PyMethodDef methods[] = {
+    {"backend_name", py_backend_name, METH_NOARGS, "The string 'compiled'."},
+    FASTCALL(sinc, "sin(pi*x)/(pi*x) with the removable singularity filled in."),
+    FASTCALL(sinc_sq, "sinc(x)**2, the translate kernel of the power sum."),
+    FASTCALL(dsinc, "Derivative of the normalized sinc."),
+    FASTCALL(zeta_em, "Hurwitz zeta (value, gauge) by Euler-Maclaurin."),
+    FASTCALL(power_sum_fixed, "(value, tail_bound) from 2*m_terms+1 terms plus tails."),
+    FASTCALL(power_sum_zeta, "Closed-form route: prefactor times Hurwitz zeta values."),
+    FASTCALL(power_sum_deriv, "d/dx of the power sum via the closed form, x in (0,1)."),
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "_kernels_c",
+    "Compiled twin of sincsum._kernels_py (same algorithms, bit for bit).",
+    -1, methods,
+};
+
+PyMODINIT_FUNC
+PyInit__kernels_c(void)
+{
+    PyObject *m = PyModule_Create(&module);
+    PyObject *slack = m ? PyFloat_FromDouble(FLOAT_SLACK) : NULL;
+    int rc = slack ? PyModule_AddObjectRef(m, "FLOAT_SLACK", slack) : -1;
+    Py_XDECREF(slack);
+    if (rc < 0) {
+        Py_XDECREF(m);
+        return NULL;
+    }
+    return m;
+}

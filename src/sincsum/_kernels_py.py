@@ -1,9 +1,10 @@
 """Pure-Python scalar kernels for the periodic sinc power sum.
 
-This module is one of two interchangeable backends (the other is the Cython
-twin ``sincsum._kernels_cy``); ``sincsum.backend`` picks one at import time.
-Everything here is a plain function of floats with no package dependencies,
-so the compiled twin can mirror it statement for statement.
+This module is one of two interchangeable backends (the other is the C
+twin ``sincsum._kernels_c``, built from ``_kernels_c.c``); ``sincsum.backend``
+picks one at import time.  Everything here is a plain function of floats with
+no package dependencies, so the compiled twin mirrors it statement for
+statement and returns the same floats bit for bit.
 
 Definitions
 -----------

@@ -1,8 +1,8 @@
 """Kernel backend selection.
 
-The compiled Cython core is preferred when it imported cleanly; otherwise
-the pure-Python twin takes over.  ``SINCSUM_BACKEND=python`` forces the
-fallback (useful for benchmarking and differential testing) and
+The compiled C core (``_kernels_c``) is preferred when it imported
+cleanly; otherwise the pure-Python twin takes over.  ``SINCSUM_BACKEND=python``
+forces the fallback (useful for benchmarking and differential testing) and
 ``SINCSUM_BACKEND=compiled`` makes a missing extension a hard error.
 """
 
@@ -12,7 +12,7 @@ _requested = os.environ.get("SINCSUM_BACKEND", "auto").strip().lower()
 
 if _requested in ("auto", "", "compiled"):
     try:
-        from . import _kernels_cy as _impl  # type: ignore[attr-defined]
+        from . import _kernels_c as _impl  # type: ignore[attr-defined]
     except ImportError:
         if _requested == "compiled":
             raise

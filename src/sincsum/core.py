@@ -96,12 +96,16 @@ def sinc_sq(x: float) -> float:
 
 def _tail_gauge(s: float, m: int) -> float:
     """A-priori bound on the corrected tail error for half-width m."""
+    decay = math.exp(-s * math.log(math.pi))
+    if decay == 0.0:
+        # pi^(-s) underflowed, so the gauge is TOL_FLOOR for any finite
+        # Pochhammer factor; from s ~ 1e44 on that factor overflows too,
+        # and inf * 0 would turn the gauge into NaN.
+        return TOL_FLOOR
     poch = 1.0
     for i in range(7):
         poch *= s + i
-    return 4.0 * _B8_OVER_8FACT * poch * math.exp(-s * math.log(math.pi)) * (
-        (m + 1.0) ** (-s - 7.0)
-    ) + TOL_FLOOR
+    return 4.0 * _B8_OVER_8FACT * poch * decay * ((m + 1.0) ** (-s - 7.0)) + TOL_FLOOR
 
 
 def select_m_terms(r: float, target_tol: float, max_terms: int) -> int:

@@ -27,6 +27,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import CertificateError, SizeLimitError
 
@@ -58,6 +59,11 @@ class SincPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+    @cached_property
+    def float_coeffs(self) -> tuple[float, ...]:
+        """The coefficients rounded to double, once per polynomial."""
+        return tuple(float(c) for c in self.coeffs)
 
 
 def _step_ints(q: list[int], r: int) -> list[int]:
@@ -131,8 +137,8 @@ def poly_eval(p: SincPolynomial, x: float) -> float:
     cp = math.cos(math.pi * x)
     y = cp * cp
     acc = 0.0
-    for c in reversed(p.coeffs):
-        acc = acc * y + float(c)
+    for c in reversed(p.float_coeffs):
+        acc = acc * y + c
     return acc
 
 

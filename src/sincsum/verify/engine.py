@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from .. import backend, exactpoly
 from ..core import select_m_terms
 from ..errors import DomainError
+from .corpus import THRESHOLD
 
 #: Below this requested tolerance the floating-point evaluation cannot
 #: honestly distinguish a margin from rounding noise; checks degrade to
@@ -22,24 +23,19 @@ RIGOR_FLOOR = 1e-13
 #: Fixed bound on the derivative antisymmetry defect across the grid.
 ANTISYM_TOL = 1e-9
 
-#: Sorting threshold separating the head pair from the far pairs.
-THRESHOLD = 4.0 / (math.pi * math.pi)
 
-
-def _consensus_value(r: float, x: float, m_terms: int, poly_coeffs) -> tuple[float, float]:
+def _consensus_value(
+    r: float, x: float, m_terms: int, poly: exactpoly.SincPolynomial | None
+) -> tuple[float, float]:
     """Direct + closed-form (+ polynomial) evaluation; returns (value, spread)."""
     direct, _ = backend.power_sum_fixed(r, x, m_terms)
     zeta = backend.power_sum_zeta(r, x)
     vmin = min(direct, zeta)
     vmax = max(direct, zeta)
-    if poly_coeffs is not None:
-        cp = math.cos(math.pi * x)
-        y = cp * cp
-        acc = 0.0
-        for c in poly_coeffs:
-            acc = acc * y + c
-        vmin = min(vmin, acc)
-        vmax = max(vmax, acc)
+    if poly is not None:
+        exact = exactpoly.poly_eval(poly, x)
+        vmin = min(vmin, exact)
+        vmax = max(vmax, exact)
     return direct, vmax - vmin
 
 
@@ -89,19 +85,18 @@ def verify_global_min(r: float, grid_n: int = 1024, tol: float = 1e-9) -> Global
         )
 
     m_terms = select_m_terms(r, 1e-12, 10_000_000)
-    poly_coeffs = None
+    poly = None
     if r == int(r) and 1 <= int(r) <= exactpoly.R_CAP:
         poly = exactpoly.poly_f(int(r))
-        poly_coeffs = tuple(float(c) for c in reversed(poly.coeffs))
 
-    center, spread_max = _consensus_value(r, 0.5, m_terms, poly_coeffs)
+    center, spread_max = _consensus_value(r, 0.5, m_terms, poly)
 
     worst = math.inf
     worst_x = None
     step = grid_n - 1
     for i in range(grid_n):
         x = i / step
-        value, spread = _consensus_value(r, x, m_terms, poly_coeffs)
+        value, spread = _consensus_value(r, x, m_terms, poly)
         spread_max = max(spread_max, spread)
         margin = value - center
         if margin < worst:

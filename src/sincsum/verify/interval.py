@@ -20,6 +20,7 @@ the quotient form away from it, with input boxes split at the boundary.
 
 import math
 
+from .._kernels_py import _DSINC_COEF
 from ..errors import SincsumError
 
 #: Outward inflation applied after every elementary operation.
@@ -254,18 +255,9 @@ _SINC_COEF = (
     1.0 / 6227020800.0,
     -1.0 / 1307674368000.0,
 )
-# Derivative series: sinc'(x) = pi^2 x G(u), u = (pi x)^2, with
-# G(u) = sum_{k>=1} (-1)^k 2k u^(k-1) / (2k+1)!; coefficients for k = 1..8.
-_DSINC_COEF = (
-    -1.0 / 3.0,
-    1.0 / 30.0,
-    -1.0 / 840.0,
-    1.0 / 45360.0,
-    -1.0 / 3991680.0,
-    1.0 / 518918400.0,
-    -7.0 / 653837184000.0,
-    1.0 / 22230464256000.0,
-)
+# The derivative series sinc'(x) = pi^2 x G(u), u = (pi x)^2, with
+# G(u) = sum_{k>=1} (-1)^k 2k u^(k-1) / (2k+1)!, takes the kernels'
+# coefficients for k = 1..8 (_DSINC_COEF).
 _FACT_17 = 355687428096000.0  # 17!
 _FACT_19 = 121645100408832000.0  # 19!
 #: Static pad absorbing the rounding of series coefficients to doubles.

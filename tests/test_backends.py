@@ -1,96 +1,183 @@
-"""Differential tests between the compiled kernel core and the pure twin."""
+"""Differential tests between the compiled kernel core and the pure twin.
 
+The C extension is compiled from ``src/sincsum/_kernels_c.c`` into a
+temporary directory once per session, so these tests run wherever a C
+compiler is found and leave nothing behind in the source tree.  The twins
+compute the same floats in the same order, so every comparison is exact.
+"""
+
+import importlib.util
+import math
 import os
 import random
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
 from sincsum import _kernels_py as pure
 
-compiled = pytest.importorskip(
-    "sincsum._kernels_cy", reason="compiled kernel extension not built"
-)
+PACKAGE_DIR = Path(pure.__file__).resolve().parent
+SOURCE = PACKAGE_DIR / "_kernels_c.c"
+
+
+def _compiler_found() -> bool:
+    cc = sysconfig.get_config_var("CC") or "cc"
+    return shutil.which(cc.split()[0]) is not None
+
+
+@pytest.fixture(scope="session")
+def extension_path(tmp_path_factory) -> Path:
+    """Compile the C kernels with setuptools into a temporary build tree."""
+    if not _compiler_found():
+        pytest.skip("no C compiler found")
+    from setuptools import Distribution, Extension
+    from setuptools.command.build_ext import build_ext
+
+    out = tmp_path_factory.mktemp("kernels_c")
+    dist = Distribution(
+        {"ext_modules": [Extension("sincsum._kernels_c", [str(SOURCE)])]}
+    )
+    cmd = build_ext(dist)
+    cmd.build_lib = str(out / "lib")
+    cmd.build_temp = str(out / "temp")
+    cmd.ensure_finalized()
+    cmd.run()
+    return Path(cmd.get_ext_fullpath("sincsum._kernels_c"))
+
+
+@pytest.fixture(scope="session")
+def compiled(extension_path):
+    spec = importlib.util.spec_from_file_location("sincsum._kernels_c", extension_path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _assert_same(compiled, name, *args):
+    want = getattr(pure, name)(*args)
+    got = getattr(compiled, name)(*args)
+    assert want == got, f"{name}{args}: pure {want!r} != compiled {got!r}"
 
 
 class TestDifferential:
-    def test_names(self):
+    def test_names(self, compiled):
         assert pure.backend_name() == "python"
         assert compiled.backend_name() == "compiled"
 
-    def test_slack_constant_matches(self):
+    def test_slack_constant_matches(self, compiled):
         assert pure.FLOAT_SLACK == compiled.FLOAT_SLACK
 
-    def test_scalar_kernels_agree(self):
+    def test_scalar_kernels_agree(self, compiled):
         rng = random.Random(11)
         for _ in range(2000):
-            x = -30.0 + 60.0 * rng.random()
-            assert pure.sinc(x) == pytest.approx(compiled.sinc(x), abs=1e-16)
-            assert pure.sinc_sq(x) == pytest.approx(compiled.sinc_sq(x), abs=1e-16)
-            assert pure.dsinc(x) == pytest.approx(compiled.dsinc(x), abs=1e-15)
+            for x in (-30.0 + 60.0 * rng.random(), -0.2 + 0.4 * rng.random()):
+                for name in ("sinc", "sinc_sq", "dsinc"):
+                    _assert_same(compiled, name, x)
 
-    def test_integer_zeros_preserved(self):
+    def test_integer_zeros_preserved(self, compiled):
         for m in (1.0, -2.0, 7.0):
             assert compiled.sinc(m) == 0.0
             assert pure.sinc(m) == 0.0
 
-    def test_zeta_agrees(self):
+    def test_zeta_agrees(self, compiled):
         rng = random.Random(12)
         for _ in range(500):
             s = 1.01 + 20.0 * rng.random()
             a = 0.05 + 1.95 * rng.random()
-            vp, gp = pure.zeta_em(s, a)
-            vc, gc = compiled.zeta_em(s, a)
-            assert vp == pytest.approx(vc, rel=1e-15)
-            assert gp == pytest.approx(gc, rel=1e-12, abs=1e-300)
+            _assert_same(compiled, "zeta_em", s, a)
+            _assert_same(compiled, "zeta_em", s, 30.0 * a)
 
-    def test_power_sum_routes_agree(self):
+    def test_power_sum_routes_agree(self, compiled):
         rng = random.Random(13)
         for _ in range(500):
-            r = 0.6 + 8.0 * rng.random()
+            r = math.exp(rng.uniform(math.log(0.51), math.log(1e4)))
             x = rng.random()
-            vp, bp = pure.power_sum_fixed(r, x, 16)
-            vc, bc = compiled.power_sum_fixed(r, x, 16)
-            assert vp == pytest.approx(vc, rel=1e-14, abs=1e-15)
-            assert bp == pytest.approx(bc, rel=1e-12)
-            assert pure.power_sum_zeta(r, x) == pytest.approx(
-                compiled.power_sum_zeta(r, x), rel=1e-14, abs=1e-15
-            )
+            _assert_same(compiled, "power_sum_fixed", r, x, 16)
+            _assert_same(compiled, "power_sum_zeta", r, x)
             if 0.0 < x < 1.0:
-                dp = pure.power_sum_deriv(r, x)
-                dc = compiled.power_sum_deriv(r, x)
-                assert dp == pytest.approx(dc, rel=1e-11, abs=1e-12)
+                _assert_same(compiled, "power_sum_deriv", r, x)
+
+    @pytest.mark.parametrize("r", [0.75, 1.0, 2.0, 7.5, 40.0, 1000.0, 1e45])
+    @pytest.mark.parametrize("x", [0.0, 1e-300, 1e-20, 0.5, 1.0 - 1e-16, 1.0])
+    def test_edge_grid(self, compiled, r, x):
+        for name in ("sinc", "sinc_sq", "dsinc"):
+            _assert_same(compiled, name, x)
+            _assert_same(compiled, name, x - 1.0)
+        for m in (8, 64):
+            _assert_same(compiled, "power_sum_fixed", r, x, m)
+        _assert_same(compiled, "power_sum_zeta", r, x)
+        if 0.0 < x < 1.0:
+            _assert_same(compiled, "power_sum_deriv", r, x)
+
+    def test_argument_errors(self, compiled):
+        with pytest.raises(TypeError):
+            compiled.sinc()
+        with pytest.raises(TypeError):
+            compiled.sinc("0.5")
+        with pytest.raises(TypeError):
+            compiled.zeta_em(2.0)
+        with pytest.raises(TypeError):
+            compiled.power_sum_fixed(2.0, 0.3, 16.0)
+        with pytest.raises(OverflowError):
+            compiled.power_sum_fixed(2.0, 0.3, 1 << 80)
+        assert compiled.sinc(0) == pure.sinc(0)
+
+
+@pytest.fixture(scope="session")
+def package_copies(tmp_path_factory, extension_path):
+    """Two copies of the package: one holding the built module, one not."""
+    root = tmp_path_factory.mktemp("packages")
+    ignore = shutil.ignore_patterns("__pycache__", "*.so", "*.pyd")
+    copies = {}
+    for label in ("built", "unbuilt"):
+        shutil.copytree(PACKAGE_DIR, root / label / "sincsum", ignore=ignore)
+        copies[label] = root / label
+    shutil.copy2(extension_path, root / "built" / "sincsum" / extension_path.name)
+    return copies
+
+
+def _import_backend(where: Path, requested: str | None):
+    env = dict(os.environ, PYTHONPATH=str(where))
+    env.pop("SINCSUM_BACKEND", None)
+    if requested is not None:
+        env["SINCSUM_BACKEND"] = requested
+    return subprocess.run(
+        [sys.executable, "-c", "import sincsum; print(sincsum.BACKEND, sincsum.__file__)"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
 
 
 class TestSelection:
-    def test_selection_honors_environment(self):
-        import sincsum
+    @pytest.mark.parametrize(
+        "label, requested, backend",
+        [
+            ("built", None, "compiled"),
+            ("built", "auto", "compiled"),
+            ("built", "compiled", "compiled"),
+            ("built", "python", "python"),
+            ("unbuilt", None, "python"),
+            ("unbuilt", "python", "python"),
+        ],
+    )
+    def test_selection_honors_environment(self, package_copies, label, requested, backend):
+        out = _import_backend(package_copies[label], requested)
+        assert out.returncode == 0, out.stderr
+        name, path = out.stdout.split()
+        assert name == backend
+        assert Path(path).is_relative_to(package_copies[label])
 
-        forced = os.environ.get("SINCSUM_BACKEND", "auto").strip().lower()
-        if forced in ("python", "pure"):
-            assert sincsum.BACKEND == "python"
-        else:
-            # compiled module imported fine above, so auto must pick it
-            assert sincsum.BACKEND == "compiled"
-
-    def test_env_forces_pure(self):
-        env = dict(os.environ, SINCSUM_BACKEND="python")
-        out = subprocess.run(
-            [sys.executable, "-c", "import sincsum; print(sincsum.BACKEND)"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert out.returncode == 0
-        assert out.stdout.strip() == "python"
-
-    def test_unknown_backend_rejected(self):
-        env = dict(os.environ, SINCSUM_BACKEND="fortran")
-        out = subprocess.run(
-            [sys.executable, "-c", "import sincsum"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+    def test_compiled_required_but_missing(self, package_copies):
+        out = _import_backend(package_copies["unbuilt"], "compiled")
         assert out.returncode != 0
+        assert "ImportError" in out.stderr
+
+    def test_unknown_backend_rejected(self, package_copies):
+        out = _import_backend(package_copies["built"], "fortran")
+        assert out.returncode != 0
+        assert "unknown SINCSUM_BACKEND" in out.stderr

@@ -43,6 +43,12 @@ class TestEval:
         assert code == 2
         assert "error" in err
 
+    def test_huge_r(self):
+        code, out, err = run_cli(["eval", "--r", "1e45", "--x", "0.3"])
+        assert code == 0
+        assert json.loads(out)["value"] == 0.0
+        assert "Traceback" not in err
+
     def test_precision_error_exit(self):
         code, _, err = run_cli(["eval", "--r", "1", "--x", "0.3", "--tol", "1e-30"])
         assert code == 3

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import power_sum_brute, power_sum_mp
-from sincsum import DomainError, EvalConfig, EvalPoint, PrecisionError
+from sincsum import DomainError, EvalConfig, EvalPoint, PrecisionError, evaluate
 from sincsum import backend
 from sincsum.core import (
     TOL_FLOOR,
@@ -166,6 +166,17 @@ class TestPowerSum:
             power_sum(EvalPoint(0.502, 0.3), EvalConfig(target_tol=2e-14, max_terms=9))
         assert math.isfinite(err.value.achieved_bound)
         assert err.value.achieved_bound > 2e-14
+
+    @pytest.mark.parametrize("x, expected", [(0.0, 1.0), (0.3, 0.0), (0.5, 0.0), (1.0, 1.0)])
+    def test_huge_r(self, x, expected):
+        # the Pochhammer factor of the tail gauge overflows from r ~ 6e43
+        # on; the gauge must stay TOL_FLOOR instead of turning into NaN
+        cfg = EvalConfig()
+        res = evaluate(EvalPoint(1e45, x), cfg)
+        assert res.value == expected
+        assert res.spread == 0.0
+        assert res.tail_bound <= cfg.target_tol
+        assert select_m_terms(1e45, cfg.target_tol, cfg.max_terms) == 8
 
 
 class TestFdDeriv:
