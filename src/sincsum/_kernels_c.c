@@ -303,6 +303,10 @@ py_power_sum_fixed(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     m_terms = PyLong_AsLong(args[2]);
     if (m_terms == -1 && PyErr_Occurred())
         return NULL;
+    if (m_terms < 0) {
+        PyErr_Format(PyExc_ValueError, "m_terms must be >= 0, got %ld", m_terms);
+        return NULL;
+    }
     return pair_tuple(power_sum_fixed_d(a[0], a[1], m_terms));
 }
 

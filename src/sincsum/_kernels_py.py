@@ -119,6 +119,28 @@ def dsinc(x: float) -> float:
     return (math.cos(PI * x) - sinc(x)) / x
 
 
+def _pow(x: float, y: float) -> float:
+    """x ** y, with C's pow result where Python raises instead.
+
+    On overflow, and for zero to a negative power, C returns an infinity
+    whose sign is that of x when y is an odd integer and + otherwise.
+    """
+    try:
+        return x ** y
+    except (OverflowError, ZeroDivisionError):
+        return math.copysign(math.inf, x) if y % 2.0 == 1.0 else math.inf
+
+
+def _div(x: float, y: float) -> float:
+    """x / y, with C's quotient (an infinity or nan) for a zero divisor."""
+    try:
+        return x / y
+    except ZeroDivisionError:
+        if x == 0.0 or x != x:
+            return math.nan
+        return math.copysign(math.inf, x) * math.copysign(1.0, y)
+
+
 def zeta_em(s: float, a: float) -> tuple[float, float]:
     """Hurwitz zeta sum_{k>=0}(k+a)^(-s) with a proven remainder gauge.
 
@@ -126,21 +148,37 @@ def zeta_em(s: float, a: float) -> tuple[float, float]:
     omitted Euler-Maclaurin correction, an upper bound on the truncation
     error for real s > 1.  N starts at 24 leading terms (0 when a is already
     >= 24) and doubles until the gauge is below 1e-14 absolute or 1e-16
-    relative.
+    relative.  Where Python's ``**`` or ``/`` would raise (a leading term
+    past the float range, a = 0, s = 1) the C twin's infinity or nan is
+    returned instead.
     """
     n = 0 if a >= 24.0 else 24
     while True:
         w = n + a
         acc = 0.0
         c = 0.0
-        for k in range(n - 1, -1, -1):
-            term = (k + a) ** (-s)
-            y = term - c
-            t = acc + y
-            c = (t - acc) - y
-            acc = t
-        base = w ** (-s)
-        total = acc + base * w / (s - 1.0) + 0.5 * base
+        try:
+            for k in range(n - 1, -1, -1):
+                term = (k + a) ** (-s)
+                y = term - c
+                t = acc + y
+                c = (t - acc) - y
+                acc = t
+        except (OverflowError, ZeroDivisionError):
+            # Python raised where C's pow returns inf: finish the same sum
+            # from term k on with C's values.
+            for k in range(k, -1, -1):
+                term = _pow(k + a, -s)
+                y = term - c
+                t = acc + y
+                c = (t - acc) - y
+                acc = t
+        try:
+            base = w ** (-s)
+            total = acc + base * w / (s - 1.0) + 0.5 * base
+        except (OverflowError, ZeroDivisionError):
+            base = _pow(w, -s)
+            total = acc + _div(base * w, s - 1.0) + 0.5 * base
         w2 = w * w
         g = base * s / w
         corr = 0.0
@@ -171,6 +209,8 @@ def power_sum_fixed(r: float, x: float, m_terms: int) -> tuple[float, float]:
     Terms are accumulated from the largest |m| inward with Kahan
     compensation so the small terms are added first.
     """
+    if m_terms < 0:
+        raise ValueError(f"m_terms must be >= 0, got {m_terms}")
     s = 2.0 * r
     acc = 0.0
     c = 0.0
@@ -246,7 +286,8 @@ def power_sum_deriv(r: float, x: float) -> float:
     d_head = _head_deriv(u, du, s) + _head_deriv(v, dv, s)
 
     sp = math.sin(PI * x)
-    lsp = math.log(sp)
+    # C's log: -inf at x = 0, where pref and d_pref then vanish
+    lsp = math.log(sp) if sp > 0.0 else (-math.inf if sp == 0.0 else math.nan)
     pref = math.exp(s * (lsp - LOG_PI))
     d_pref = s * PI * math.cos(PI * x) * math.exp((s - 1.0) * lsp - s * LOG_PI)
 

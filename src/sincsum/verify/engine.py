@@ -9,6 +9,7 @@ fixed platform.
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .. import backend, exactpoly
 from ..core import select_m_terms
@@ -155,48 +156,68 @@ def majorization_property(trials: int, seed: int) -> MajorizationReport:
     from {t^rho (rho >= 1), exp(t)-1, max(0, t-c)^2}, nondecreasing and
     convex on [0, inf), the conclusion sum g(x) >= sum g(y) must hold;
     margins are allowed -1e-9 relative slack for float noise.
+
+    The integer draws ``randint(1, 8)``, ``randrange(n)`` and ``randrange(3)``
+    are made as CPython makes them, by rejection on
+    ``getrandbits(n.bit_length())``, so each seed consumes the stream and gives
+    the report of the plain ``random`` calls; docs/derivations.md section 9
+    states this contract and proves the lemma.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)
+    rand = rng.random
+    getrandbits = rng.getrandbits
+    fsum = math.fsum
+    expm1 = math.expm1
     violations = 0
     min_margin = math.inf
     first_violation = None
 
     for _ in range(trials):
-        n = rng.randint(1, 8)
-        ys = [2.0 * rng.random() + 1e-12 for _ in range(n)]
-        t = ys[rng.randrange(n)]
-        xs = [0.0] * n
+        n = getrandbits(4)  # randint(1, 8)
+        while n >= 8:
+            n = getrandbits(4)
+        n += 1
+        ys = [2.0 * rand() + 1e-12 for _ in range(n)]
+        k = n.bit_length()  # randrange(n)
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        t = ys[j]
+        xs = []
         high_sum = 0.0
-        for i, y in enumerate(ys):
+        for y in ys:
             if y < t:
-                xs[i] = y * rng.random()
+                xs.append(y * rand())
             else:
-                xs[i] = y * (1.0 + rng.random())
-                high_sum += xs[i]
-        deficit = math.fsum(ys) - math.fsum(xs)
+                v = y * (1.0 + rand())
+                xs.append(v)
+                high_sum += v
+        deficit = fsum(ys) - fsum(xs)
         if deficit > 0.0:
             scale = 1.0 + (deficit / high_sum) * (1.0 + 1e-9)
-            for i, y in enumerate(ys):
-                if y >= t:
-                    xs[i] *= scale
+            xs = [v * scale if y >= t else v for v, y in zip(xs, ys)]
 
-        kind = rng.randrange(3)
+        kind = getrandbits(2)  # randrange(3)
+        while kind == 3:
+            kind = getrandbits(2)
         if kind == 0:
-            rho = 1.0 + 3.0 * rng.random()
-            gx = math.fsum(v**rho for v in xs)
-            gy = math.fsum(v**rho for v in ys)
+            rho = 1.0 + 3.0 * rand()
+            gx = fsum(map(pow, xs, repeat(rho, n)))
+            gy = fsum(map(pow, ys, repeat(rho, n)))
         elif kind == 1:
-            gx = math.fsum(math.expm1(v) for v in xs)
-            gy = math.fsum(math.expm1(v) for v in ys)
+            gx = fsum(map(expm1, xs))
+            gy = fsum(map(expm1, ys))
         else:
-            cc = 2.0 * rng.random()
-            gx = math.fsum(max(0.0, v - cc) ** 2 for v in xs)
-            gy = math.fsum(max(0.0, v - cc) ** 2 for v in ys)
+            # max(0, v - cc)^2 without its zero terms, which leave fsum unchanged
+            cc = 2.0 * rand()
+            gx = fsum([(v - cc) ** 2 for v in xs if v > cc])
+            gy = fsum([(v - cc) ** 2 for v in ys if v > cc])
 
         margin = gx - gy
-        min_margin = min(min_margin, margin)
+        if margin < min_margin:
+            min_margin = margin
         if margin < -1e-9 * max(1.0, abs(gx), abs(gy)):
             violations += 1
             if first_violation is None:

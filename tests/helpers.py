@@ -6,9 +6,13 @@ mpmath (a wholly separate implementation) for high-precision references.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
+
+from sincsum.errors import DomainError
+from sincsum.verify.engine import MajorizationReport
 
 mp.mp.dps = 40
 
@@ -138,3 +142,63 @@ def poly_step_operator(coeffs, r: int) -> tuple[Fraction, ...]:
 
 def uniform_grid(n: int) -> list[float]:
     return [i / (n - 1) for i in range(n)]
+
+
+def majorization_reference(trials: int, seed: int) -> MajorizationReport:
+    """The majorization check as first written, with randint/randrange draws
+    and generator-fed fsum; ``engine.majorization_property`` must return the
+    same report for every (trials, seed).
+    """
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    rng = random.Random(seed)
+    violations = 0
+    min_margin = math.inf
+    first_violation = None
+
+    for _ in range(trials):
+        n = rng.randint(1, 8)
+        ys = [2.0 * rng.random() + 1e-12 for _ in range(n)]
+        t = ys[rng.randrange(n)]
+        xs = [0.0] * n
+        high_sum = 0.0
+        for i, y in enumerate(ys):
+            if y < t:
+                xs[i] = y * rng.random()
+            else:
+                xs[i] = y * (1.0 + rng.random())
+                high_sum += xs[i]
+        deficit = math.fsum(ys) - math.fsum(xs)
+        if deficit > 0.0:
+            scale = 1.0 + (deficit / high_sum) * (1.0 + 1e-9)
+            for i, y in enumerate(ys):
+                if y >= t:
+                    xs[i] *= scale
+
+        kind = rng.randrange(3)
+        if kind == 0:
+            rho = 1.0 + 3.0 * rng.random()
+            gx = math.fsum(v**rho for v in xs)
+            gy = math.fsum(v**rho for v in ys)
+        elif kind == 1:
+            gx = math.fsum(math.expm1(v) for v in xs)
+            gy = math.fsum(math.expm1(v) for v in ys)
+        else:
+            cc = 2.0 * rng.random()
+            gx = math.fsum(max(0.0, v - cc) ** 2 for v in xs)
+            gy = math.fsum(max(0.0, v - cc) ** 2 for v in ys)
+
+        margin = gx - gy
+        min_margin = min(min_margin, margin)
+        if margin < -1e-9 * max(1.0, abs(gx), abs(gy)):
+            violations += 1
+            if first_violation is None:
+                first_violation = (tuple(xs), tuple(ys), t, kind, margin)
+
+    return MajorizationReport(
+        trials=trials,
+        seed=seed,
+        violations=violations,
+        min_margin=min_margin,
+        first_violation=first_violation,
+    )

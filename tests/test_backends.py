@@ -57,10 +57,17 @@ def compiled(extension_path):
     return module
 
 
+def _same(a, b) -> bool:
+    """Exact equality of floats or float tuples, with nan equal to nan."""
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b or (a != a and b != b)
+
+
 def _assert_same(compiled, name, *args):
     want = getattr(pure, name)(*args)
     got = getattr(compiled, name)(*args)
-    assert want == got, f"{name}{args}: pure {want!r} != compiled {got!r}"
+    assert _same(want, got), f"{name}{args}: pure {want!r} != compiled {got!r}"
 
 
 class TestDifferential:
@@ -110,8 +117,19 @@ class TestDifferential:
         for m in (8, 64):
             _assert_same(compiled, "power_sum_fixed", r, x, m)
         _assert_same(compiled, "power_sum_zeta", r, x)
-        if 0.0 < x < 1.0:
-            _assert_same(compiled, "power_sum_deriv", r, x)
+        _assert_same(compiled, "power_sum_deriv", r, x)
+
+    @pytest.mark.parametrize(
+        "s", [-math.inf, -300.0, -1.0, 0.0, 0.5, 1.0, 2.0, 200.0, 1e300, math.inf, math.nan]
+    )
+    @pytest.mark.parametrize(
+        "a", [0.0, 5e-324, 1e-300, 1e-3, 0.5, 2.0, 24.0, 1e300, math.inf, math.nan]
+    )
+    def test_zeta_outside_domain(self, compiled, s, a):
+        # the twins agree past s > 1, a > 0 too: pure Python's raising pow and
+        # division are mapped to C's infinities, e.g. zeta_em(200, 1e-3) and
+        # zeta_em(1, 2) are (inf, gauge) on both
+        _assert_same(compiled, "zeta_em", s, a)
 
     def test_argument_errors(self, compiled):
         with pytest.raises(TypeError):
@@ -124,7 +142,24 @@ class TestDifferential:
             compiled.power_sum_fixed(2.0, 0.3, 16.0)
         with pytest.raises(OverflowError):
             compiled.power_sum_fixed(2.0, 0.3, 1 << 80)
+        for twin in (pure, compiled):
+            with pytest.raises(ValueError, match="m_terms must be >= 0"):
+                twin.power_sum_fixed(2.0, 0.3, -3)
+            with pytest.raises(ValueError, match="m_terms must be >= 0"):
+                twin.power_sum_fixed(2.0, 0.3, -1)
+        assert compiled.power_sum_fixed(2.0, 0.3, 0) == pure.power_sum_fixed(2.0, 0.3, 0)
         assert compiled.sinc(0) == pure.sinc(0)
+
+    @pytest.mark.parametrize("twin", ["pure", "compiled"])
+    def test_hurwitz_zeta_overflow_is_precision_error(self, compiled, monkeypatch, twin):
+        from sincsum import PrecisionError, backend, specfun
+
+        kernels = pure if twin == "pure" else compiled
+        monkeypatch.setattr(backend, "zeta_em", kernels.zeta_em)
+        assert kernels.zeta_em(200.0, 1e-3)[0] == math.inf
+        with pytest.raises(PrecisionError, match="exceeds floating-point range"):
+            specfun.hurwitz_zeta(200.0, 1e-3)
+        assert specfun.hurwitz_zeta(2.0, 1.0) == pytest.approx(math.pi**2 / 6.0, abs=1e-14)
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,13 @@
 """Global-minimum grid verification, majorization trials, proof chain."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import power_sum_mp
+from helpers import majorization_reference, power_sum_mp
 from sincsum import DomainError
 from sincsum.verify.engine import (
     THRESHOLD,
@@ -89,6 +90,42 @@ class TestMajorization:
     def test_validation(self):
         with pytest.raises(DomainError):
             majorization_property(0, seed=1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 42, 2**40 + 3])
+    @pytest.mark.parametrize("trials", [1, 7, 2000])
+    def test_matches_reference_loop(self, trials, seed):
+        assert majorization_property(trials, seed) == majorization_reference(trials, seed)
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_matches_reference_loop_full_size(self, seed):
+        # 10^5 trials: the suite default (seed 0) and acceptance criterion 6 (seed 42)
+        assert majorization_property(100_000, seed) == majorization_reference(100_000, seed)
+
+    def test_getrandbits_draws_match_random_methods(self):
+        """Rejection draws on getrandbits(n.bit_length()) consume the stream
+        exactly as randint(1, 8), randrange(n) and randrange(3) do."""
+
+        def below(getrandbits, n):
+            k = n.bit_length()
+            v = getrandbits(k)
+            while v >= n:
+                v = getrandbits(k)
+            return v
+
+        chooser = random.Random(2024)
+        for seed in range(20):
+            plain = random.Random(seed)
+            bits = random.Random(seed)
+            for _ in range(2_000):
+                n = chooser.randint(1, 10)
+                if n == 9:
+                    assert plain.randint(1, 8) == 1 + below(bits.getrandbits, 8)
+                elif n == 10:
+                    assert plain.random() == bits.random()
+                else:
+                    assert plain.randrange(n) == below(bits.getrandbits, n)
+                    assert plain.randrange(3) == below(bits.getrandbits, 3)
+            assert plain.getstate() == bits.getstate()
 
 
 class TestProofChain:
