@@ -83,10 +83,14 @@ dsinc_d(double x)
     return (cos(PI * x) - sinc_d(x)) / x;
 }
 
+/* Hurwitz zeta (value, gauge) by Euler-Maclaurin after n leading terms.
+ * n starts at the smallest block with w = n + a >= 8 (0 when a >= 8, else
+ * 8), where the gauge is at most 4.5e-16 for every s > 1, and doubles until
+ * the gauge is below 1e-14 absolute or 1e-16 relative. */
 static pair
 zeta_em_d(double s, double a)
 {
-    int n = a >= 24.0 ? 0 : 24;
+    int n = a >= 8.0 ? 0 : 8;
     int k, j;
     double w, acc, c, term, y, t, base, total, w2, g, corr, gauge;
     for (;;) {
@@ -113,7 +117,7 @@ zeta_em_d(double s, double a)
         gauge = EM_NEXT * g;
         if (gauge <= 1e-14 || gauge <= 1e-16 * fabs(total) || n >= 1 << 16)
             return (pair){total, gauge};
-        n = n ? n * 2 : 24;
+        n = n ? n * 2 : 8;
     }
 }
 

@@ -29,8 +29,13 @@ Error control
 
 where for real s > 1 the remainder R is bounded in absolute value by the
 first omitted correction term (the integrand t -> (t+a)^(-s) is completely
-monotone, so the correction series is enveloping).  N is doubled until that
-gauge drops below 1e-14 (or below 1e-16 relative for very large values).
+monotone, so the correction series is enveloping).  N starts at the smallest
+block with w >= 8 (0 when a >= 8, else 8); there the gauge is at most
+4.5e-16 for every s > 1, so the first pass meets the acceptance test of
+1e-14 absolute or 1e-16 relative, and N doubles only outside that domain.
+The direct route's tails (a = M+1+-x >= 8) thus sum no leading term and
+the closed-form routes (a in (1, 2)) sum eight; docs/derivations.md
+section 1 has the gauge table and the accuracy contract.
 
 ``power_sum_fixed`` sums the 2M+1 central terms directly, largest |m| first
 with Kahan compensation, then adds the two analytic tails.  For m > M every
@@ -81,8 +86,13 @@ def sinc(x: float) -> float:
         t = PI * x
         u = t * t
         return 1.0 - u / 6.0 + (u * u) / 120.0
-    if x == math.floor(x):
-        return 0.0  # sin(pi*m) is exactly 0 at integers; libm's is not
+    try:
+        if x == math.floor(x):
+            return 0.0  # sin(pi*m) is exactly 0 at integers; libm's is not
+    except OverflowError:
+        return 0.0  # x = +-inf, which C's floor returns unchanged
+    except ValueError:
+        return math.nan  # x = nan
     t = PI * x
     return math.sin(t) / t
 
@@ -116,19 +126,24 @@ def dsinc(x: float) -> float:
         for k in range(6, -1, -1):
             g = g * u + _DSINC_COEF[k]
         return PI * PI * x * g
-    return (math.cos(PI * x) - sinc(x)) / x
+    try:
+        return (math.cos(PI * x) - sinc(x)) / x
+    except ValueError:
+        return math.nan  # x = +-inf, where C's cos gives nan
 
 
 def _pow(x: float, y: float) -> float:
-    """x ** y, with C's pow result where Python raises instead.
+    """x ** y, with C's pow result where Python raises or goes complex.
 
     On overflow, and for zero to a negative power, C returns an infinity
-    whose sign is that of x when y is an odd integer and + otherwise.
+    whose sign is that of x when y is an odd integer and + otherwise; for a
+    negative x and a non-integer y it returns nan.
     """
     try:
-        return x ** y
+        v = x ** y
     except (OverflowError, ZeroDivisionError):
         return math.copysign(math.inf, x) if y % 2.0 == 1.0 else math.inf
+    return math.nan if v.__class__ is complex else v
 
 
 def _div(x: float, y: float) -> float:
@@ -141,57 +156,84 @@ def _div(x: float, y: float) -> float:
         return math.copysign(math.inf, x) * math.copysign(1.0, y)
 
 
+def _em_pass_c(s: float, a: float, n: int) -> tuple[float, float]:
+    """One ``zeta_em`` pass with n leading terms, in C's float semantics.
+
+    The same operations in the same order as the pass inside ``zeta_em``,
+    but every power and quotient goes through ``_pow``/``_div``: this is the
+    slow path for the inputs where Python's ``**`` or ``/`` would raise or
+    return a complex number while C returns an infinity or nan.
+    """
+    w = n + a
+    acc = 0.0
+    c = 0.0
+    for k in range(n - 1, -1, -1):
+        term = _pow(k + a, -s)
+        y = term - c
+        t = acc + y
+        c = (t - acc) - y
+        acc = t
+    base = _pow(w, -s)
+    total = acc + _div(base * w, s - 1.0) + 0.5 * base
+    w2 = w * w
+    g = _div(base * s, w)
+    corr = 0.0
+    j = 1
+    for coef in _EM_COEF:
+        corr += coef * g
+        g *= _div((s + 2.0 * j - 1.0) * (s + 2.0 * j), w2)
+        j += 1
+    return total + corr, _EM_NEXT * g
+
+
 def zeta_em(s: float, a: float) -> tuple[float, float]:
     """Hurwitz zeta sum_{k>=0}(k+a)^(-s) with a proven remainder gauge.
 
     Returns ``(value, gauge)`` where ``gauge`` is the magnitude of the first
     omitted Euler-Maclaurin correction, an upper bound on the truncation
-    error for real s > 1.  N starts at 24 leading terms (0 when a is already
-    >= 24) and doubles until the gauge is below 1e-14 absolute or 1e-16
-    relative.  Where Python's ``**`` or ``/`` would raise (a leading term
-    past the float range, a = 0, s = 1) the C twin's infinity or nan is
-    returned instead.
+    error for real s > 1.  N starts at the smallest leading block that puts
+    w = N + a at 8 or more (N = 0 when a >= 8, else N = 8), where the gauge
+    is at most 4.5e-16 for every s > 1, so the first pass is accepted; N
+    doubles until the gauge is below 1e-14 absolute or 1e-16 relative.  The
+    value is therefore accurate to 1e-14 absolute or 1e-16 relative: for
+    a >= 8 and s much larger than a only the absolute bound may hold.
+    Outside s > 1, a > 0 (a leading term past the float range, a <= 0,
+    s = 1) the C twin's infinities and nans are returned.
     """
-    n = 0 if a >= 24.0 else 24
+    n = 0 if a >= 8.0 else 8
     while True:
-        w = n + a
-        acc = 0.0
-        c = 0.0
-        try:
-            for k in range(n - 1, -1, -1):
-                term = (k + a) ** (-s)
-                y = term - c
-                t = acc + y
-                c = (t - acc) - y
-                acc = t
-        except (OverflowError, ZeroDivisionError):
-            # Python raised where C's pow returns inf: finish the same sum
-            # from term k on with C's values.
-            for k in range(k, -1, -1):
-                term = _pow(k + a, -s)
-                y = term - c
-                t = acc + y
-                c = (t - acc) - y
-                acc = t
-        try:
-            base = w ** (-s)
-            total = acc + base * w / (s - 1.0) + 0.5 * base
-        except (OverflowError, ZeroDivisionError):
-            base = _pow(w, -s)
-            total = acc + _div(base * w, s - 1.0) + 0.5 * base
-        w2 = w * w
-        g = base * s / w
-        corr = 0.0
-        j = 1
-        for coef in _EM_COEF:
-            corr += coef * g
-            g *= (s + 2.0 * j - 1.0) * (s + 2.0 * j) / w2
-            j += 1
-        total += corr
-        gauge = _EM_NEXT * g
+        if a < 0.0:
+            # Python's ** gives complex numbers for a negative base
+            total, gauge = _em_pass_c(s, a, n)
+        else:
+            try:
+                w = n + a
+                acc = 0.0
+                c = 0.0
+                for k in range(n - 1, -1, -1):
+                    term = (k + a) ** (-s)
+                    y = term - c
+                    t = acc + y
+                    c = (t - acc) - y
+                    acc = t
+                base = w ** (-s)
+                total = acc + base * w / (s - 1.0) + 0.5 * base
+                w2 = w * w
+                g = base * s / w
+                corr = 0.0
+                j = 1
+                for coef in _EM_COEF:
+                    corr += coef * g
+                    g *= (s + 2.0 * j - 1.0) * (s + 2.0 * j) / w2
+                    j += 1
+                total += corr
+                gauge = _EM_NEXT * g
+            except (OverflowError, ZeroDivisionError):
+                # a leading term past the float range, a = 0 or s = 1
+                total, gauge = _em_pass_c(s, a, n)
         if gauge <= 1e-14 or gauge <= 1e-16 * abs(total) or n >= 1 << 16:
             return total, gauge
-        n = n * 2 if n else 24
+        n = n * 2 if n else 8
 
 
 def _abs_sinc_pow(x: float, s: float) -> float:
@@ -199,7 +241,10 @@ def _abs_sinc_pow(x: float, s: float) -> float:
     u = sinc(x)
     if u == 0.0:
         return 0.0
-    return math.exp(s * math.log(abs(u)))
+    try:
+        return math.exp(s * math.log(abs(u)))
+    except OverflowError:
+        return math.inf  # s < 0, where C's exp gives inf
 
 
 def power_sum_fixed(r: float, x: float, m_terms: int) -> tuple[float, float]:
@@ -226,10 +271,16 @@ def power_sum_fixed(r: float, x: float, m_terms: int) -> tuple[float, float]:
     y = term - c
     acc = acc + y
 
-    sp = abs(math.sin(PI * x))
+    try:
+        sp = abs(math.sin(PI * x))
+    except ValueError:
+        sp = math.nan  # x = +-inf, where C's sin gives nan
     if sp == 0.0:
         return acc, FLOAT_SLACK
-    pref = math.exp(s * (math.log(sp) - LOG_PI))
+    try:
+        pref = math.exp(s * (math.log(sp) - LOG_PI))
+    except OverflowError:
+        pref = math.inf  # s < 0
     if pref == 0.0:
         return acc, FLOAT_SLACK
     z_right, g_right = zeta_em(s, m_terms + 1.0 + x)
@@ -252,7 +303,10 @@ def power_sum_zeta(r: float, x: float) -> float:
     s = 2.0 * r
     head = _abs_sinc_pow(x, s) + _abs_sinc_pow(x - 1.0, s)
     sp = math.sin(PI * x)
-    pref = math.exp(s * (math.log(sp) - LOG_PI))
+    try:
+        pref = math.exp(s * (math.log(sp) - LOG_PI))
+    except OverflowError:
+        pref = math.inf  # s < 0
     if pref == 0.0:
         return head
     z0, _ = zeta_em(s, 1.0 + x)
@@ -267,7 +321,13 @@ def _head_deriv(u: float, du: float, s: float) -> float:
     """
     if u == 0.0 and s > 1.0:
         return 0.0
-    return s * math.exp((s - 1.0) * math.log(u)) * du
+    try:
+        return s * math.exp((s - 1.0) * math.log(u)) * du
+    except ValueError:
+        lu = -math.inf if u == 0.0 else math.nan  # C's log of 0 and of u < 0
+    except OverflowError:
+        return s * math.inf * du  # s < 1, where C's exp gives inf
+    return s * math.exp((s - 1.0) * lu) * du
 
 
 def power_sum_deriv(r: float, x: float) -> float:
@@ -285,11 +345,21 @@ def power_sum_deriv(r: float, x: float) -> float:
     dv = dsinc(x - 1.0)
     d_head = _head_deriv(u, du, s) + _head_deriv(v, dv, s)
 
-    sp = math.sin(PI * x)
+    try:
+        sp = math.sin(PI * x)
+        cp = math.cos(PI * x)
+    except ValueError:
+        sp = cp = math.nan  # x = +-inf, where C's sin and cos give nan
     # C's log: -inf at x = 0, where pref and d_pref then vanish
     lsp = math.log(sp) if sp > 0.0 else (-math.inf if sp == 0.0 else math.nan)
-    pref = math.exp(s * (lsp - LOG_PI))
-    d_pref = s * PI * math.cos(PI * x) * math.exp((s - 1.0) * lsp - s * LOG_PI)
+    try:
+        pref = math.exp(s * (lsp - LOG_PI))
+    except OverflowError:
+        pref = math.inf  # s < 0
+    try:
+        d_pref = s * PI * cp * math.exp((s - 1.0) * lsp - s * LOG_PI)
+    except OverflowError:
+        d_pref = s * PI * cp * math.inf
 
     z0, _ = zeta_em(s, 1.0 + x)
     z1, _ = zeta_em(s, 2.0 - x)

@@ -11,9 +11,10 @@ figure      power sum curves for r = 1.02^k, k in {1,2,4,...,256}, as CSV
 
 Exit codes: 0 success; 1 verify found a violated/failed check; 2 domain
 error (or verify found an inconclusive check); 3 requested precision
-unreachable; 4 output path unwritable.  For fixed flags and seed the
-output bytes are identical across runs; wall-clock timings are only
-emitted under --timings.
+unreachable; 4 output path unwritable; 5 internal error (any other
+exception, reported on one line instead of a traceback).  For fixed flags
+and seed the output bytes are identical across runs; wall-clock timings
+are only emitted under --timings.
 """
 
 import argparse
@@ -36,6 +37,7 @@ EXIT_DOMAIN = 2
 EXIT_INCONCLUSIVE = 2
 EXIT_PRECISION = 3
 EXIT_OUTPUT = 4
+EXIT_INTERNAL = 5
 
 
 def _emit(text: str, output: str | None) -> int:
@@ -269,6 +271,9 @@ def main(argv=None) -> int:
             f"error: {exc} (achieved bound {exc.achieved_bound:.3e})", file=sys.stderr
         )
         return EXIT_PRECISION
+    except Exception as exc:  # a defect, not a verdict: keep exit 1 for "violated"
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

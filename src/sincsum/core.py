@@ -13,13 +13,15 @@ gauge
 
     P(M) = 4 * |B_8|/8! * s(s+1)...(s+6) * pi^(-s) * (M+1)^(-s-7) + 1e-14
 
-falls below the requested tolerance (s = 2r).  P(M) dominates the actual
-post-correction tail bound produced by the kernel: the kernel evaluates the
-two analytic tails with eight Euler-Maclaurin corrections at arguments
->= M+1, whose remainder gauge is at most the three-correction gauge P
-estimates, while the fixed 1e-14 term covers floating-point accumulation.
-A tolerance below that floor is therefore refused as unreachable rather
-than promised dishonestly.
+falls below the requested tolerance (s = 2r).  The fixed 1e-14 term covers
+floating-point accumulation.  In floating point P(M) dominates the
+tail bound the kernel reports, which adds prefactor times the two
+eight-correction Euler-Maclaurin gauges to the same 1e-14; see
+docs/derivations.md section 2, and tests/test_core.py, which checks it
+for r up to 500.  (Where the eight-correction gauge exceeds P's
+three-correction term in exact arithmetic, both are below 3e-54 and
+vanish into the 1e-14.)  A tolerance below that floor is therefore
+refused as unreachable rather than promised dishonestly.
 """
 
 import math

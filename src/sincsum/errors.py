@@ -1,7 +1,8 @@
 """Exception taxonomy shared by all sincsum modules.
 
 The CLI maps these onto exit codes (see sincsum.cli): domain errors exit
-with 2, precision-unreachable with 3, unwritable output with 4.
+with 2, precision-unreachable with 3, unwritable output with 4, and any
+other exception (a CertificateError included) with 5.
 """
 
 

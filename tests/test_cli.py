@@ -7,6 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from sincsum import cli
 from sincsum.cli import main
 
 
@@ -221,3 +222,22 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert target.read_text().strip() == "2/15, 11/15, 2/15"
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_5(self, monkeypatch):
+        def broken(args):
+            raise RuntimeError("kernel returned garbage")
+
+        monkeypatch.setattr(cli, "cmd_poly", broken)
+        code, out, err = run_cli(["poly", "--r", "3"])
+        assert code == cli.EXIT_INTERNAL == 5
+        assert code not in (
+            cli.EXIT_OK,
+            cli.EXIT_VIOLATED,
+            cli.EXIT_DOMAIN,
+            cli.EXIT_PRECISION,
+            cli.EXIT_OUTPUT,
+        )
+        assert out == ""
+        assert err == "error: internal: RuntimeError: kernel returned garbage\n"

@@ -11,6 +11,7 @@ from sincsum import DomainError, EvalConfig, EvalPoint, PrecisionError, evaluate
 from sincsum import backend
 from sincsum.core import (
     TOL_FLOOR,
+    _tail_gauge,
     power_sum,
     power_sum_fd_deriv,
     select_m_terms,
@@ -153,6 +154,17 @@ class TestPowerSum:
             v1, b1 = backend.power_sum_fixed(r, x, m)
             v2, _ = backend.power_sum_fixed(r, x, 2 * m)
             assert abs(v1 - v2) <= b1
+
+    @pytest.mark.parametrize("m", [8, 9, 12, 16])
+    def test_a_priori_gauge_dominates_tail_bound(self, twin_kernels, m):
+        # select_m_terms promises tail_bound <= target_tol by checking P(M)
+        rs = [0.502 * (500.0 / 0.502) ** (i / 59) for i in range(60)]
+        xs = [1e-3, 0.999] + [j / 32 for j in range(1, 32)]
+        for r in rs:
+            gauge = _tail_gauge(2.0 * r, m) - TOL_FLOOR
+            for x in xs:
+                _, tail_bound = twin_kernels.power_sum_fixed(r, x, m)
+                assert tail_bound - twin_kernels.FLOAT_SLACK <= gauge, (r, x)
 
     def test_precision_unreachable(self):
         with pytest.raises(PrecisionError) as err:

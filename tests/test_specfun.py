@@ -1,6 +1,7 @@
 """Bernoulli numbers, zeta values, and the closed-form evaluation routes."""
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -157,6 +158,35 @@ class TestHurwitzZeta:
             hurwitz_zeta(2.0, 0.0)
         with pytest.raises(DomainError):
             hurwitz_zeta(2.0, 2.5)
+
+
+class TestZetaEmStart:
+    """zeta_em starts at w = N + a >= 8 (N = 0 when a >= 8, else N = 8).
+
+    There the first omitted correction |B_18|/18! s(s+1)...(s+16) w^(-s-17)
+    is at most 4.5e-16 for every s > 1, so the first pass is accepted.
+    """
+
+    # s - 1 log-spaced over [1e-3, 999]
+    S = [1.0 + 1e-3 * 1e6 ** (i / 29) for i in range(30)]
+    A = [1e-3, 0.5, 1.0, 1.5, 2.0, 8.0, 9.5, 23.9]
+
+    @pytest.mark.parametrize("a", A)
+    def test_first_pass_meets_gauge(self, twin_kernels, a):
+        next_coef = abs(mp.bernoulli(18)) / mp.factorial(18)
+        w = a if a >= 8.0 else a + 8.0
+        for s in self.S:
+            value, gauge = twin_kernels.zeta_em(s, a)
+            first_pass = float(next_coef * mp.rf(s, 17) * mp.mpf(w) ** (-s - 17))
+            assert gauge <= 1e-14, (s, a)
+            # the returned gauge is the first pass's, so no doubling ran
+            assert gauge == pytest.approx(first_pass, rel=1e-12, abs=1e-300), (s, a)
+            ref = mp.zeta(mp.mpf(s), mp.mpf(a))
+            if ref > mp.mpf(sys.float_info.max):
+                assert value == math.inf, (s, a)
+                continue
+            ulp = math.ulp(float(ref))
+            assert abs(mp.mpf(value) - ref) <= gauge + 16.0 * ulp, (s, a)
 
 
 class TestHurwitzZetaDa:
