@@ -15,6 +15,12 @@ unreachable; 4 output path unwritable; 5 internal error (any other
 exception, reported on one line instead of a traceback).  For fixed flags
 and seed the output bytes are identical across runs; wall-clock timings
 are only emitted under --timings.
+
+verify runs its majorization check in a forked child, beside the other
+checks, where os.fork is available and the caller is single-threaded, and
+in-process otherwise; the report bytes are the same either way.  Under
+--timings each check reports its own time, so the times can add up to more
+than the run's wall time.
 """
 
 import argparse

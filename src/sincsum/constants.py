@@ -18,10 +18,11 @@ log space so the formulas stay finite for q in the thousands.
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DomainError
-from .specfun import bernoulli, hurwitz_zeta
+from .specfun import BERNOULLI_CAP, bernoulli, hurwitz_zeta
 
 _LOG2 = math.log(2.0)
 _LOG_PI = math.log(math.pi)
@@ -46,7 +47,8 @@ class ConstantQuery:
 
 @dataclass(frozen=True)
 class ConstantReport:
-    """Numeric factors for one (q, d) query; exact rational when q is even."""
+    """Numeric factors for one (q, d) query; exact rational when q is an even
+    integer up to BERNOULLI_CAP, None otherwise."""
 
     q: float
     d: int
@@ -56,6 +58,7 @@ class ConstantReport:
     exact_c_q: Fraction | None
 
     def to_json_dict(self) -> dict:
+        exact = self.exact_c_q
         return {
             "q": self.q,
             "d": self.d,
@@ -63,9 +66,16 @@ class ConstantReport:
             "factor": self.factor,
             "crude": self.crude,
             "exact_c_q": None
-            if self.exact_c_q is None
-            else f"{self.exact_c_q.numerator}/{self.exact_c_q.denominator}",
+            if exact is None
+            else f"{_digits(exact.numerator)}/{_digits(exact.denominator)}",
         }
+
+
+def _digits(n: int) -> str:
+    """Decimal digits of n.  ``str(n)`` refuses integers longer than
+    ``sys.get_int_max_str_digits()`` (4300 by default), which the exact
+    constants pass from q = 1724 on; ``Decimal(n)`` is exact at any size."""
+    return str(Decimal(n))
 
 
 def _log_zeta(q: float) -> float:
@@ -123,7 +133,7 @@ def transference_factor(query: ConstantQuery) -> ConstantReport:
     log_c = _log_halfshift_sum(q) - q * _LOG_PI
     factor = math.exp(-(d / q) * log_c)
     exact = None
-    if q == int(q) and int(q) % 2 == 0:
+    if q == int(q) and int(q) % 2 == 0 and q <= BERNOULLI_CAP:
         exact = exact_min_constant(int(q) // 2)
     return ConstantReport(
         q=q,

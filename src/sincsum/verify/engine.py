@@ -24,6 +24,9 @@ RIGOR_FLOOR = 1e-13
 #: Fixed bound on the derivative antisymmetry defect across the grid.
 ANTISYM_TOL = 1e-9
 
+#: Fewest grid points the global-minimum check accepts.
+MIN_GRID_N = 16
+
 
 def _consensus_value(
     r: float, x: float, m_terms: int, poly: exactpoly.SincPolynomial | None
@@ -66,8 +69,8 @@ def verify_global_min(r: float, grid_n: int = 1024, tol: float = 1e-9) -> Global
     """
     if r < 1.0:
         raise DomainError(f"the minimum claim is asserted for r >= 1, got {r}")
-    if grid_n < 16:
-        raise DomainError(f"grid_n must be >= 16, got {grid_n}")
+    if grid_n < MIN_GRID_N:
+        raise DomainError(f"grid_n must be >= {MIN_GRID_N}, got {grid_n}")
     if not (tol > 0.0):
         raise DomainError(f"tol must be positive, got {tol}")
     if tol < RIGOR_FLOOR:

@@ -4,15 +4,23 @@ One CheckResult per check, sorted by check id so reports are canonical
 regardless of execution order.  Wall times are measured but only included
 in serialized output on request, keeping default output bytes identical
 across runs for fixed flags and seed.
+
+The majorization check shares no state with the others, so where
+``os.fork`` exists and the caller runs a single thread, it runs in a forked
+child beside the corpus, grid, proof-chain and manifest checks and sends
+its result back through a pipe.  Otherwise it runs in-process.  The report
+bytes are the same either way.  Each check times itself, so under
+``--timings`` the times can add up to more than the run's wall time.
 """
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
-from .certify import certify
+from ..errors import DomainError
+from .certify import MAX_DEPTH_CAP, certify
 from .corpus import corpus, quartic_coefficient_margin
-from .engine import majorization_property, proof_chain, verify_global_min
+from .engine import MIN_GRID_N, majorization_property, proof_chain, verify_global_min
 
 #: Exponent parameters exercised by the global-minimum suite.
 GLOBAL_MIN_R = (1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 8.0, 1.02**256)
@@ -57,6 +65,19 @@ class SuiteConfig:
     trials: int = 100_000
     max_depth: int = 40
 
+    def __post_init__(self):
+        # checked here so a bad flag fails before any check runs
+        if self.trials < 1:
+            raise DomainError(f"trials must be >= 1, got {self.trials}")
+        if self.grid < MIN_GRID_N:
+            raise DomainError(f"grid_n must be >= {MIN_GRID_N}, got {self.grid}")
+        if not (self.tol > 0.0):
+            raise DomainError(f"tol must be positive, got {self.tol}")
+        if not 1 <= self.max_depth <= MAX_DEPTH_CAP:
+            raise DomainError(
+                f"max_depth must be in [1, {MAX_DEPTH_CAP}], got {self.max_depth}"
+            )
+
 
 def _finite_or_none(v) -> float | None:
     if v is None:
@@ -64,8 +85,124 @@ def _finite_or_none(v) -> float | None:
     return v if math.isfinite(v) else None
 
 
+def _majorization_check(cfg: SuiteConfig) -> CheckResult:
+    t0 = time.perf_counter()
+    maj = majorization_property(cfg.trials, cfg.seed)
+    return CheckResult(
+        check_id="majorization_random_instances",
+        status="passed" if maj.violations == 0 else "failed",
+        worst_margin=_finite_or_none(maj.min_margin),
+        witness=None,
+        boxes_visited=None,
+        wall_time_ms=1e3 * (time.perf_counter() - t0),
+    )
+
+
+def _fork_call(fn):
+    """Start ``fn()`` in a forked child; return its pid and the read end of
+    its pipe, opened as a binary file.
+
+    The child writes into the pipe ``fn()``'s value, which must be
+    marshal-able, or else the exception it raised, pickled, and leaves
+    through ``os._exit``, so it never returns into the caller's code nor
+    flushes the parent's stdio buffers.  marshal is always loaded; pickle
+    is imported only to carry an exception, since importing it adds about
+    0.3 MB to the parent's peak RSS.  Returns None, and the caller runs
+    ``fn`` itself, where ``os.fork`` is missing or fails, or where other
+    threads are alive: one of them may hold a lock that the child would
+    then wait on forever.
+    """
+    import marshal
+    import os
+    import threading
+
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return None
+
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(rfd)
+            try:
+                data = b"v" + marshal.dumps(fn())
+            except BaseException as exc:  # re-raised by the parent
+                import pickle
+
+                data = b"e" + pickle.dumps(exc)
+            view = memoryview(data)
+            while view:
+                view = view[os.write(wfd, view) :]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(wfd)
+    return pid, open(rfd, "rb")
+
+
+def _kill_child(pid: int) -> None:
+    import os
+    import signal
+
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+
+
+def _child_result(pid: int, pipe):
+    """Read the child's outcome to EOF, reap the child, return or re-raise it.
+
+    Closes ``pipe``.  If reading is interrupted, the child is killed and
+    reaped before the interruption propagates.
+    """
+    import marshal
+    import os
+
+    with pipe:
+        try:
+            data = pipe.read()
+        except BaseException:
+            _kill_child(pid)
+            raise
+    _, status = os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError(
+            f"forked check exited with status {os.waitstatus_to_exitcode(status)} "
+            "and sent no result"
+        )
+    if data[:1] == b"v":
+        return marshal.loads(data[1:])
+    import pickle
+
+    raise pickle.loads(data[1:])
+
+
 def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[CheckResult]:
     """Run every check and return results sorted by check id."""
+    child = _fork_call(lambda: astuple(_majorization_check(cfg)))
+    try:
+        results = _other_checks(cfg)
+    except BaseException:
+        if child is not None:
+            pid, pipe = child
+            pipe.close()
+            _kill_child(pid)
+        raise
+    if child is None:
+        results.append(_majorization_check(cfg))
+    else:
+        results.append(CheckResult(*_child_result(*child)))
+    results.sort(key=lambda c: c.check_id)
+    return results
+
+
+def _other_checks(cfg: SuiteConfig) -> list[CheckResult]:
+    """Every check but the majorization one."""
     # deferred import: manifest loading needs the corpus registry, which
     # lives beside this module
     from ..manifest import load_default_manifest, manifest_check
@@ -114,19 +251,6 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[CheckResult]:
             )
         )
 
-    t0 = time.perf_counter()
-    maj = majorization_property(cfg.trials, cfg.seed)
-    results.append(
-        CheckResult(
-            check_id="majorization_random_instances",
-            status="passed" if maj.violations == 0 else "failed",
-            worst_margin=_finite_or_none(maj.min_margin),
-            witness=None,
-            boxes_visited=None,
-            wall_time_ms=1e3 * (time.perf_counter() - t0),
-        )
-    )
-
     for r in PROOF_CHAIN_R:
         t0 = time.perf_counter()
         worst = math.inf
@@ -163,7 +287,6 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[CheckResult]:
         )
     )
 
-    results.sort(key=lambda c: c.check_id)
     return results
 
 

@@ -1,16 +1,19 @@
-"""Independent oracles used across the test suite.
+"""Independent oracles used across the test suite, and a CLI runner.
 
-Everything here deliberately avoids the package's own evaluation paths:
+The oracles deliberately avoid the package's own evaluation paths:
 plain partial sums with elementary integral sandwiches for tails, and
 mpmath (a wholly separate implementation) for high-precision references.
 """
 
+import io
 import math
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import mpmath as mp
 
+from sincsum import cli
 from sincsum.errors import DomainError
 from sincsum.verify.engine import MajorizationReport
 
@@ -202,3 +205,11 @@ def majorization_reference(trials: int, seed: int) -> MajorizationReport:
         min_margin=min_margin,
         first_violation=first_violation,
     )
+
+
+def run_cli(argv):
+    """``sincsum.cli.main(argv)`` with captured output: (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()

@@ -1,21 +1,19 @@
 """CLI surface: output formats, exit codes, determinism."""
 
-import io
 import json
 import math
-from contextlib import redirect_stderr, redirect_stdout
+import os
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
-from sincsum import cli
-from sincsum.cli import main
-
-
-def run_cli(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+from helpers import run_cli
+from sincsum import DomainError, cli, exact_min_constant
+from sincsum.specfun import BERNOULLI_CAP
+from sincsum.verify.certify import MAX_DEPTH_CAP, certify
+from sincsum.verify.corpus import corpus
+from sincsum.verify.engine import majorization_property, verify_global_min
 
 
 class TestEval:
@@ -96,15 +94,30 @@ class TestConstants:
     def test_domain(self):
         assert run_cli(["constants", "--q", "1.5"])[0] == 2
 
-    @pytest.mark.parametrize(
-        "q, d, why", [("2", "2000", "1571"), ("1e6", "1", "Bernoulli")]
-    )
+    @pytest.mark.parametrize("q, d, why", [("2", "2000", "1571")])
     def test_too_large_exits_2(self, q, d, why):
         code, out, err = run_cli(["constants", "--q", q, "--d", d])
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and why in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("q", ["2050", "1e6"])
+    def test_above_bernoulli_cap_exact_is_null(self, q):
+        code, out, err = run_cli(["constants", "--q", q])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["exact_c_q"] is None
+        assert payload["factor"] <= payload["crude"]
+
+    def test_exact_at_bernoulli_cap(self):
+        # numerator and denominator have about 5000 digits, past the
+        # interpreter's default int-to-str limit, so compare through Decimal
+        code, out, err = run_cli(["constants", "--q", str(BERNOULLI_CAP)])
+        assert (code, err) == (0, "")
+        num, den = json.loads(out)["exact_c_q"].split("/")
+        exact = Fraction(int(Decimal(num)), int(Decimal(den)))
+        assert exact == exact_min_constant(BERNOULLI_CAP // 2)
 
 
 class TestVerify:
@@ -141,6 +154,40 @@ class TestVerify:
         assert code == 2
         statuses = {c["status"] for c in json.loads(out)["checks"]}
         assert "inconclusive" in statuses
+
+    @pytest.mark.parametrize(
+        "flag, value, library_error",
+        [
+            ("--trials", "0", lambda: majorization_property(0, 0)),
+            ("--trials", "-5", lambda: majorization_property(-5, 0)),
+            ("--grid", "15", lambda: verify_global_min(1.0, grid_n=15)),
+            ("--tol", "0", lambda: verify_global_min(1.0, tol=0.0)),
+            ("--tol", "-1e-9", lambda: verify_global_min(1.0, tol=-1e-9)),
+            ("--tol", "nan", lambda: verify_global_min(1.0, tol=math.nan)),
+            ("--max-depth", "0", lambda: certify(corpus()[0], max_depth=0)),
+            (
+                "--max-depth",
+                str(MAX_DEPTH_CAP + 1),
+                lambda: certify(corpus()[0], max_depth=MAX_DEPTH_CAP + 1),
+            ),
+        ],
+        ids=[
+            "trials0", "trials-5", "grid15", "tol0", "tol-1e-9", "tolnan", "depth0", "depth61"
+        ],
+    )
+    def test_bad_flag_fails_before_any_check(self, monkeypatch, flag, value, library_error):
+        with pytest.raises(DomainError) as expected:
+            library_error()
+
+        def must_not_run(*args, **kwargs):
+            pytest.fail("a check started for a bad flag")
+
+        monkeypatch.setattr(os, "fork", must_not_run)
+        monkeypatch.setattr(cli, "run_suite", must_not_run)
+        code, out, err = run_cli(["verify", f"{flag}={value}"])
+        assert code == cli.EXIT_DOMAIN
+        assert out == ""
+        assert err == f"error: {expected.value}\n"
 
     def test_timings_flag(self):
         _, out, _ = run_cli(
