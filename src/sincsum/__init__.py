@@ -22,7 +22,6 @@ from .core import (
     EvalConfig,
     EvalPoint,
     power_sum,
-    power_sum_fd_deriv,
     sinc,
     sinc_sq,
 )
@@ -39,10 +38,7 @@ from .specfun import (
     ZetaEvenValue,
     bernoulli,
     hurwitz_zeta,
-    hurwitz_zeta_da,
-    polygamma_even_series,
     power_sum_deriv,
-    power_sum_half_integer,
     power_sum_zeta,
     zeta_even,
 )
@@ -68,18 +64,14 @@ __all__ = [
     "evaluate",
     "exact_min_constant",
     "hurwitz_zeta",
-    "hurwitz_zeta_da",
     "lq_norm_halfshift",
     "min_constant",
     "poly_eval",
     "poly_f",
     "poly_min_certificate",
     "poly_step",
-    "polygamma_even_series",
     "power_sum",
     "power_sum_deriv",
-    "power_sum_fd_deriv",
-    "power_sum_half_integer",
     "power_sum_zeta",
     "sinc",
     "sinc_sq",

@@ -65,7 +65,7 @@ def _fmt(v: float) -> str:
 
 def cmd_eval(args) -> int:
     point = EvalPoint(r=args.r, x=args.x)
-    cfg = EvalConfig(target_tol=args.tol, max_terms=args.max_terms, mode="consensus")
+    cfg = EvalConfig(target_tol=args.tol, max_terms=args.max_terms)
     res = evaluate(point, cfg)
     if args.format == "csv":
         text = "r,x,value,method_spread\n" + ",".join(
@@ -86,7 +86,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    if args.r != int(args.r):
+    if not args.r.is_integer():
         raise DomainError(f"poly needs an integer r, got {args.r}")
     poly = poly_f(int(args.r))
     min_value, _ = poly_min_certificate(poly)
@@ -146,7 +146,7 @@ def cmd_verify(args) -> int:
 
 
 def _figure_rows(grid: int):
-    cfg = EvalConfig(target_tol=1e-12, mode="consensus")
+    cfg = EvalConfig(target_tol=1e-12)
     curves = []
     for k in FIGURE_K:
         r = 1.02**k

@@ -48,11 +48,13 @@ class ConstantQuery:
 @dataclass(frozen=True)
 class ConstantReport:
     """Numeric factors for one (q, d) query; exact rational when q is an even
-    integer up to BERNOULLI_CAP, None otherwise."""
+    integer up to BERNOULLI_CAP, None otherwise.  ``log_c_q`` stays finite
+    where ``c_q`` underflows to 0.0 (from q ~ 1652 on)."""
 
     q: float
     d: int
     c_q: float
+    log_c_q: float
     factor: float
     crude: float
     exact_c_q: Fraction | None
@@ -63,6 +65,7 @@ class ConstantReport:
             "q": self.q,
             "d": self.d,
             "c_q": self.c_q,
+            "log_c_q": self.log_c_q,
             "factor": self.factor,
             "crude": self.crude,
             "exact_c_q": None
@@ -139,6 +142,7 @@ def transference_factor(query: ConstantQuery) -> ConstantReport:
         q=q,
         d=d,
         c_q=math.exp(log_c),
+        log_c_q=log_c,
         factor=factor,
         crude=crude,
         exact_c_q=exact,

@@ -8,13 +8,14 @@ backend kernels.
 
 Truncation policy
 -----------------
-``power_sum`` picks the smallest half-width M such that the a-priori tail
-gauge
+``power_sum`` picks the smallest half-width M >= M_FLOOR such that the
+a-priori tail gauge
 
     P(M) = 4 * |B_8|/8! * s(s+1)...(s+6) * pi^(-s) * (M+1)^(-s-7) + 1e-14
 
-falls below the requested tolerance (s = 2r).  The fixed 1e-14 term covers
-floating-point accumulation.  In floating point P(M) dominates the
+falls below the requested tolerance (s = 2r), stepping M up one at a time
+from M_FLOOR (at 1e-12, M is 8 to 16 for every r).  The fixed 1e-14 term
+covers floating-point accumulation.  In floating point P(M) dominates the
 tail bound the kernel reports, which adds prefactor times the two
 eight-correction Euler-Maclaurin gauges to the same 1e-14; see
 docs/derivations.md section 2, and tests/test_core.py, which checks it
@@ -43,24 +44,19 @@ TOL_FLOOR = backend.FLOAT_SLACK
 
 _B8_OVER_8FACT = 1.0 / 1209600.0
 
-EVAL_MODES = ("direct", "hurwitz", "polynomial", "consensus")
-
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Evaluation budget: tolerance, term cap, and method choice."""
+    """Evaluation budget: tolerance and term cap."""
 
     target_tol: float = 1e-12
     max_terms: int = 1_000_000
-    mode: str = "consensus"
 
     def __post_init__(self):
         if not (self.target_tol > 0.0) or not math.isfinite(self.target_tol):
             raise DomainError(f"target_tol must be positive, got {self.target_tol}")
         if self.max_terms < 1:
             raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
-        if self.mode not in EVAL_MODES:
-            raise DomainError(f"mode must be one of {EVAL_MODES}, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -96,18 +92,23 @@ def sinc_sq(x: float) -> float:
     return backend.sinc_sq(x)
 
 
-def _tail_gauge(s: float, m: int) -> float:
-    """A-priori bound on the corrected tail error for half-width m."""
+def _gauge_coeff(s: float) -> float:
+    """4 |B_8|/8! * s(s+1)...(s+6) * pi^(-s): the tail gauge less (m+1)^(-s-7)."""
     decay = math.exp(-s * math.log(math.pi))
     if decay == 0.0:
         # pi^(-s) underflowed, so the gauge is TOL_FLOOR for any finite
         # Pochhammer factor; from s ~ 1e44 on that factor overflows too,
         # and inf * 0 would turn the gauge into NaN.
-        return TOL_FLOOR
+        return 0.0
     poch = 1.0
     for i in range(7):
         poch *= s + i
-    return 4.0 * _B8_OVER_8FACT * poch * decay * ((m + 1.0) ** (-s - 7.0)) + TOL_FLOOR
+    return 4.0 * _B8_OVER_8FACT * poch * decay
+
+
+def _tail_gauge(s: float, m: int) -> float:
+    """A-priori bound on the corrected tail error for half-width m."""
+    return _gauge_coeff(s) * (m + 1.0) ** (-s - 7.0) + TOL_FLOOR
 
 
 def select_m_terms(r: float, target_tol: float, max_terms: int) -> int:
@@ -124,16 +125,9 @@ def select_m_terms(r: float, target_tol: float, max_terms: int) -> int:
             f"{TOL_FLOOR:g}",
             achieved_bound=_tail_gauge(s, max(max_terms, M_FLOOR)),
         )
-    if _tail_gauge(s, M_FLOOR) <= target_tol:
-        return M_FLOOR
-    # Invert the power law for a starting guess, then fix up linearly.
-    poch = 1.0
-    for i in range(7):
-        poch *= s + i
-    coeff = 4.0 * _B8_OVER_8FACT * poch * math.exp(-s * math.log(math.pi))
-    guess = int(math.exp(math.log(coeff / (target_tol - TOL_FLOOR)) / (s + 7.0))) + 1
-    m = max(M_FLOOR, guess - 2)
-    while _tail_gauge(s, m) > target_tol:
+    coeff = _gauge_coeff(s)
+    m = M_FLOOR
+    while coeff * (m + 1.0) ** (-s - 7.0) + TOL_FLOOR > target_tol:
         m += 1
         if m > max_terms:
             raise PrecisionError(
@@ -141,13 +135,6 @@ def select_m_terms(r: float, target_tol: float, max_terms: int) -> int:
                 f"{max_terms}",
                 achieved_bound=_tail_gauge(s, max_terms),
             )
-    while m > M_FLOOR and _tail_gauge(s, m - 1) <= target_tol:
-        m -= 1
-    if m > max_terms:
-        raise PrecisionError(
-            f"tail bound cannot reach {target_tol:g} within max_terms={max_terms}",
-            achieved_bound=_tail_gauge(s, max_terms),
-        )
     return m
 
 
@@ -159,18 +146,3 @@ def power_sum(p: EvalPoint, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[float, fl
     """
     m = select_m_terms(p.r, cfg.target_tol, cfg.max_terms)
     return backend.power_sum_fixed(p.r, p.x, m)
-
-
-def power_sum_fd_deriv(p: EvalPoint, step: float) -> float:
-    """Central finite difference of S_r at x, endpoint tolerance step**3."""
-    if not (step > 0.0) or not math.isfinite(step):
-        raise DomainError(f"step must be positive and finite, got {step}")
-    if not (0.0 < p.x - step and p.x + step < 1.0):
-        raise DomainError(
-            f"x +- step must stay inside (0,1); x={p.x}, step={step}"
-        )
-    tol = max(step * step * step, 4.0 * TOL_FLOOR)
-    cfg = EvalConfig(target_tol=tol, mode="direct")
-    hi, _ = power_sum(EvalPoint(p.r, p.x + step), cfg)
-    lo, _ = power_sum(EvalPoint(p.r, p.x - step), cfg)
-    return (hi - lo) / (2.0 * step)

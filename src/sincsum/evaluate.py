@@ -2,54 +2,32 @@
 
 Three routes exist: the direct tail-bounded lattice sum (any r > 1/2), the
 Hurwitz zeta closed form (any r > 1/2), and exact-polynomial evaluation
-(integer r up to 100).  ``consensus`` mode runs every applicable route and
-reports the maximum pairwise gap, which serves as a cheap smoke alarm for
-implementation disagreement.
+(integer r up to 100).  ``evaluate`` runs every applicable route, reports
+the direct value with its tail bound, and reports the maximum pairwise gap,
+which serves as a cheap smoke alarm for implementation disagreement.  A
+caller who wants a single route calls it directly: ``core.power_sum``,
+``specfun.power_sum_zeta`` or ``exactpoly.poly_eval(poly_f(r), x)``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import exactpoly, specfun
 from .core import DEFAULT_CONFIG, EvalConfig, EvalPoint, power_sum
-from .errors import DomainError
 
 
 @dataclass(frozen=True)
 class EvalResult:
     value: float
     spread: float
-    methods: dict[str, float] = field(default_factory=dict)
-    tail_bound: float | None = None
-
-
-def _poly_applicable(r: float) -> bool:
-    return r == int(r) and 1 <= int(r) <= exactpoly.R_CAP
+    methods: dict[str, float]
+    tail_bound: float
 
 
 def evaluate(p: EvalPoint, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
-    """Evaluate S_r(x) in the configured mode; see EvalConfig.mode."""
-    methods: dict[str, float] = {}
-    tail_bound = None
-
-    run_direct = cfg.mode in ("direct", "consensus")
-    run_hurwitz = cfg.mode in ("hurwitz", "consensus")
-    run_poly = cfg.mode == "polynomial" or (
-        cfg.mode == "consensus" and _poly_applicable(p.r)
-    )
-
-    if run_direct:
-        value, tail_bound = power_sum(p, cfg)
-        methods["direct"] = value
-    if run_hurwitz:
-        methods["hurwitz"] = specfun.power_sum_zeta(p)
-    if run_poly:
-        if not _poly_applicable(p.r):
-            raise DomainError(
-                f"polynomial mode needs integer r in [1, {exactpoly.R_CAP}], got {p.r}"
-            )
+    """Evaluate S_r(x) by every applicable route; ``value`` is the direct one."""
+    value, tail_bound = power_sum(p, cfg)
+    methods = {"direct": value, "hurwitz": specfun.power_sum_zeta(p)}
+    if p.r == int(p.r) and 1 <= int(p.r) <= exactpoly.R_CAP:
         methods["polynomial"] = exactpoly.poly_eval(exactpoly.poly_f(int(p.r)), p.x)
-
-    vals = list(methods.values())
-    spread = max(vals) - min(vals) if len(vals) > 1 else 0.0
-    value = methods.get("direct", vals[0])
+    spread = max(methods.values()) - min(methods.values())
     return EvalResult(value=value, spread=spread, methods=methods, tail_bound=tail_bound)

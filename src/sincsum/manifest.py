@@ -18,8 +18,6 @@ from .verify.interval import Interval
 #: Tolerance an equality point must meet when evaluated pointwise.
 EQUALITY_TOL = 1e-12
 
-_HEADER = "# id\tdomain_lo\tdomain_hi\tclaim\tequality_points\tstatement"
-
 
 @dataclass(frozen=True)
 class ManifestEntry:
@@ -44,33 +42,6 @@ class ManifestReport:
     mismatched: tuple[str, ...]
     equality_worst: float
     equality_failures: tuple[str, ...]
-
-
-def default_manifest() -> CorpusManifest:
-    """Manifest derived from the in-code corpus registry."""
-    return CorpusManifest(
-        entries=tuple(
-            ManifestEntry(
-                id=e.id,
-                domain_lo=e.domain.lo,
-                domain_hi=e.domain.hi,
-                claim=e.claim,
-                equality_points=e.equality_points,
-                statement=e.description,
-            )
-            for e in corpus()
-        )
-    )
-
-
-def dump_manifest(manifest: CorpusManifest) -> str:
-    lines = [_HEADER]
-    for e in manifest.entries:
-        pts = ",".join(repr(p) for p in e.equality_points)
-        lines.append(
-            f"{e.id}\t{e.domain_lo!r}\t{e.domain_hi!r}\t{e.claim}\t{pts}\t{e.statement}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def parse_manifest(text: str) -> CorpusManifest:

@@ -1,8 +1,9 @@
-"""Special functions backing the closed-form power sum routes.
+"""Special functions backing the closed-form power sum route.
 
 Exact pieces (Bernoulli numbers, rational even-argument zeta values) use
-``fractions.Fraction``; floating pieces delegate to the backend's
-Euler-Maclaurin Hurwitz zeta kernel.
+``fractions.Fraction``; floating pieces (the Hurwitz zeta, the closed-form
+power sum and its analytic derivative) delegate to the backend's
+Euler-Maclaurin kernels.
 
 Conventions: Bernoulli numbers with B_1 = -1/2, the even ones computed from
 integer tangent numbers (Brent & Harvey, arXiv:1108.0286).  Even-argument
@@ -119,13 +120,6 @@ def hurwitz_zeta(s: float, a: float) -> float:
     return value
 
 
-def hurwitz_zeta_da(s: float, a: float) -> float:
-    """d/da of the Hurwitz zeta: -s * zeta(s+1, a)."""
-    if not math.isfinite(s) or s <= 1.0 + 1e-9:
-        raise DomainError(f"s must exceed 1 + 1e-9 (pole at 1), got {s}")
-    return -s * hurwitz_zeta(s + 1.0, a)
-
-
 def power_sum_zeta(p: EvalPoint) -> float:
     """Closed-form power sum value via the Hurwitz zeta pair.
 
@@ -141,44 +135,3 @@ def power_sum_deriv(p: EvalPoint) -> float:
     if not (0.0 < p.x < 1.0):
         raise DomainError(f"derivative route requires x in (0,1), got {p.x}")
     return backend.power_sum_deriv(p.r, p.x)
-
-
-def polygamma_even_series(n: int, x: float) -> float:
-    """Even-order polygamma psi^(2n)(x) = -(2n)! * zeta(2n+1, x).
-
-    Only the series form is used; n is capped both by the exact-factorial
-    limit and by the double range ((2n)! overflows past 170!).
-    """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if 2 * n + 1 > FACTORIAL_CAP:
-        raise SizeLimitError(
-            f"2n+1 = {2*n+1} exceeds exact factorial cap {FACTORIAL_CAP}"
-        )
-    if not (0.0 < x < 1.0):
-        raise DomainError(f"x must lie in (0,1), got {x}")
-    fact = math.factorial(2 * n)
-    if fact > 1.7e308:
-        raise PrecisionError(
-            f"(2n)! with n={n} exceeds floating-point range", achieved_bound=math.inf
-        )
-    value, _ = backend.zeta_em(2.0 * n + 1.0, x)
-    return -float(fact) * value
-
-
-def power_sum_half_integer(n: int, x: float) -> float:
-    """Power sum at half-integer exponent r = n + 1/2 via polygamma values.
-
-    S_{n+1/2}(x) = pi^-(2n+1) |sin(pi x)|^(2n+1) * (-1/(2n)!) *
-    (psi^(2n)(x) + psi^(2n)(1-x)); an independent route used to cross-check
-    the zeta evaluation at odd powers.  Endpoints return 1 by continuity.
-    """
-    if x <= 0.0 or x >= 1.0:
-        if not 0.0 <= x <= 1.0:
-            raise DomainError(f"x must lie in [0,1], got {x}")
-        return 1.0
-    pg = polygamma_even_series(n, x) + polygamma_even_series(n, 1.0 - x)
-    s = 2 * n + 1
-    sp = math.sin(math.pi * x)
-    pref = math.exp(s * (math.log(sp) - math.log(math.pi)))
-    return pref * (-pg / float(math.factorial(2 * n)))

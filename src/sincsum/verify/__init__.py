@@ -3,7 +3,7 @@ the inequality corpus, grid verification of the global minimum, the
 randomized majorization check, and the proof-chain witness."""
 
 from .certify import EPS_CERT, CertifiedInequality, certify
-from .corpus import THRESHOLD, corpus, quartic_coefficient_margin, ratio_value
+from .corpus import THRESHOLD, corpus, quartic_coefficient_margin
 from .engine import (
     ANTISYM_TOL,
     RIGOR_FLOOR,
@@ -14,7 +14,7 @@ from .engine import (
     proof_chain,
     verify_global_min,
 )
-from .interval import EnclosureError, Interval, dsinc_iv, intersect, sinc_iv, sinc_sq_iv
+from .interval import EnclosureError, Interval, dsinc_iv, intersect, sinc_iv
 from .suite import CheckResult, SuiteConfig, run_suite, suite_exit_code
 
 __all__ = [
@@ -37,10 +37,8 @@ __all__ = [
     "majorization_property",
     "proof_chain",
     "quartic_coefficient_margin",
-    "ratio_value",
     "run_suite",
     "sinc_iv",
-    "sinc_sq_iv",
     "suite_exit_code",
     "verify_global_min",
 ]

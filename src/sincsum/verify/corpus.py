@@ -271,15 +271,6 @@ def corpus() -> list[CertifiedInequality]:
     return entries
 
 
-def ratio_value(big_m: int, x: float) -> float:
-    """The decreasing ratio sqrt(x^2+1) cos(pi x/2)/(M^2 - x^2), pointwise."""
-    return (
-        math.sqrt(x * x + 1.0)
-        * math.cos(0.5 * math.pi * x)
-        / (big_m * big_m - x * x)
-    )
-
-
 def quartic_coefficient_margin() -> float:
     """Scalar margin in the weighted_cos_quartic certificate.
 

@@ -336,8 +336,3 @@ def dsinc_iv(x: Interval) -> Interval:
     for p in parts[1:]:
         out = Interval.hull(out, p)
     return out
-
-
-def sinc_sq_iv(x: Interval) -> Interval:
-    """Enclosure of the squared normalized sinc."""
-    return sinc_iv(x).sq()

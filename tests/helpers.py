@@ -1,8 +1,12 @@
 """Independent oracles used across the test suite, and a CLI runner.
 
-The oracles deliberately avoid the package's own evaluation paths:
+Most oracles deliberately avoid the package's own evaluation paths:
 plain partial sums with elementary integral sandwiches for tails, and
 mpmath (a wholly separate implementation) for high-precision references.
+A few are second routes built on the package's kernels (the half-integer
+polygamma route, the finite-difference derivative) or earlier forms of its
+code (the truncation-order search, the majorization check, the manifest
+writer), against which the library is compared.
 """
 
 import io
@@ -13,8 +17,19 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from sincsum import cli
-from sincsum.errors import DomainError
+from sincsum import backend, cli
+from sincsum.core import (
+    _B8_OVER_8FACT,
+    M_FLOOR,
+    TOL_FLOOR,
+    EvalConfig,
+    EvalPoint,
+    _tail_gauge,
+    power_sum,
+)
+from sincsum.errors import DomainError, PrecisionError
+from sincsum.manifest import CorpusManifest, ManifestEntry
+from sincsum.verify.corpus import corpus
 from sincsum.verify.engine import MajorizationReport
 
 mp.mp.dps = 40
@@ -88,6 +103,103 @@ def power_sum_deriv_mp(r, x, dps: int = 40) -> mp.mpf:
     """
     with mp.workdps(dps):
         return mp.diff(lambda t: power_sum_mp(r, t, dps=3 * dps), mp.mpf(x))
+
+
+def polygamma_even_series(n: int, x: float) -> float:
+    """Even-order polygamma psi^(2n)(x) = -(2n)! * zeta(2n+1, x), x in (0,1)."""
+    value, _ = backend.zeta_em(2.0 * n + 1.0, x)
+    return -float(math.factorial(2 * n)) * value
+
+
+def power_sum_half_integer(n: int, x: float) -> float:
+    """Power sum at half-integer exponent r = n + 1/2, x in (0,1), via
+    polygamma values: S_{n+1/2}(x) = pi^-(2n+1) |sin(pi x)|^(2n+1) *
+    (-1/(2n)!) * (psi^(2n)(x) + psi^(2n)(1-x)).
+    """
+    pg = polygamma_even_series(n, x) + polygamma_even_series(n, 1.0 - x)
+    s = 2 * n + 1
+    sp = math.sin(math.pi * x)
+    pref = math.exp(s * (math.log(sp) - math.log(math.pi)))
+    return pref * (-pg / float(math.factorial(2 * n)))
+
+
+def power_sum_fd_deriv(p: EvalPoint, step: float) -> float:
+    """Central finite difference of the direct route at x (x +- step in
+    (0,1)), each value to tolerance step**3."""
+    cfg = EvalConfig(target_tol=max(step * step * step, 4.0 * TOL_FLOOR))
+    hi, _ = power_sum(EvalPoint(p.r, p.x + step), cfg)
+    lo, _ = power_sum(EvalPoint(p.r, p.x - step), cfg)
+    return (hi - lo) / (2.0 * step)
+
+
+def select_m_terms_reference(r: float, target_tol: float, max_terms: int) -> int:
+    """The truncation-order search as first written: invert the gauge's power
+    law for a guess, then fix it up linearly in both directions.
+    ``core.select_m_terms`` must return the same M, or raise the same
+    PrecisionError with the same achieved bound, for every input.
+    """
+    s = 2.0 * r
+    if target_tol <= TOL_FLOOR:
+        raise PrecisionError(
+            f"target_tol {target_tol:g} is below the floating-point floor "
+            f"{TOL_FLOOR:g}",
+            achieved_bound=_tail_gauge(s, max(max_terms, M_FLOOR)),
+        )
+    if _tail_gauge(s, M_FLOOR) <= target_tol:
+        return M_FLOOR
+    poch = 1.0
+    for i in range(7):
+        poch *= s + i
+    coeff = 4.0 * _B8_OVER_8FACT * poch * math.exp(-s * math.log(math.pi))
+    guess = int(math.exp(math.log(coeff / (target_tol - TOL_FLOOR)) / (s + 7.0))) + 1
+    m = max(M_FLOOR, guess - 2)
+    while _tail_gauge(s, m) > target_tol:
+        m += 1
+        if m > max_terms:
+            raise PrecisionError(
+                f"tail bound cannot reach {target_tol:g} within max_terms="
+                f"{max_terms}",
+                achieved_bound=_tail_gauge(s, max_terms),
+            )
+    while m > M_FLOOR and _tail_gauge(s, m - 1) <= target_tol:
+        m -= 1
+    if m > max_terms:
+        raise PrecisionError(
+            f"tail bound cannot reach {target_tol:g} within max_terms={max_terms}",
+            achieved_bound=_tail_gauge(s, max_terms),
+        )
+    return m
+
+
+_MANIFEST_HEADER = "# id\tdomain_lo\tdomain_hi\tclaim\tequality_points\tstatement"
+
+
+def default_manifest() -> CorpusManifest:
+    """Manifest derived from the in-code corpus registry."""
+    return CorpusManifest(
+        entries=tuple(
+            ManifestEntry(
+                id=e.id,
+                domain_lo=e.domain.lo,
+                domain_hi=e.domain.hi,
+                claim=e.claim,
+                equality_points=e.equality_points,
+                statement=e.description,
+            )
+            for e in corpus()
+        )
+    )
+
+
+def dump_manifest(manifest: CorpusManifest) -> str:
+    """The manifest as the tab-separated text ``parse_manifest`` reads."""
+    lines = [_MANIFEST_HEADER]
+    for e in manifest.entries:
+        pts = ",".join(repr(p) for p in e.equality_points)
+        lines.append(
+            f"{e.id}\t{e.domain_lo!r}\t{e.domain_hi!r}\t{e.claim}\t{pts}\t{e.statement}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def _deriv(c: list[Fraction]) -> list[Fraction]:

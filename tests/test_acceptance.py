@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import power_sum_fd_deriv, power_sum_half_integer
 from sincsum import (
     ConstantQuery,
     EvalConfig,
@@ -26,8 +27,6 @@ from sincsum import (
     poly_min_certificate,
     power_sum,
     power_sum_deriv,
-    power_sum_fd_deriv,
-    power_sum_half_integer,
     power_sum_zeta,
     transference_factor,
 )
@@ -74,7 +73,7 @@ def test_criterion_01_exact_polynomial_table():
 
 def test_criterion_02_unit_sum():
     with _Budget("criterion 2: |S_1(x) - 1| <= 1e-11 on 10^4 points", 5.0):
-        cfg = EvalConfig(target_tol=1e-12, mode="direct")
+        cfg = EvalConfig(target_tol=1e-12)
         worst = 0.0
         n = 10_000
         for i in range(n):

@@ -78,6 +78,14 @@ class TestPoly:
         assert run_cli(["poly", "--r", "101"])[0] == 2
         assert run_cli(["poly", "--r", "2.5"])[0] == 2
 
+    @pytest.mark.parametrize("r", ["nan", "inf"])
+    def test_non_finite_exits_2(self, r):
+        code, out, err = run_cli(["poly", "--r", r])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "integer r" in err
+        assert "Traceback" not in err
+
 
 class TestConstants:
     def test_report(self):
@@ -109,6 +117,9 @@ class TestConstants:
         payload = json.loads(out)
         assert payload["exact_c_q"] is None
         assert payload["factor"] <= payload["crude"]
+        # c_q underflows to 0.0 here; its log does not
+        assert payload["c_q"] == math.exp(payload["log_c_q"]) == 0.0
+        assert math.isfinite(payload["log_c_q"])
 
     def test_exact_at_bernoulli_cap(self):
         # numerator and denominator have about 5000 digits, past the

@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from helpers import zeta_brute
@@ -91,9 +92,26 @@ class TestTransferenceFactor:
 
     def test_json_shape(self):
         payload = transference_factor(ConstantQuery(6.0, 2)).to_json_dict()
-        assert set(payload) == {"q", "d", "c_q", "factor", "crude", "exact_c_q"}
+        assert set(payload) == {
+            "q", "d", "c_q", "log_c_q", "factor", "crude", "exact_c_q",
+        }
         assert payload["exact_c_q"] == "2/15"
         json.dumps(payload)  # serializable
+
+    def test_log_c_q_against_mpmath(self):
+        # log c_q = log(2 (2^q - 1) zeta(q)) - q log(pi), at 50 digits
+        worst = 0.0
+        for i in range(200):
+            q = 2.0 * 5000.0 ** (i / 199)
+            rep = transference_factor(ConstantQuery(q, 1))
+            with mp.workdps(50):
+                qm = mp.mpf(q)
+                ref = mp.log(2 * (2**qm - 1) * mp.zeta(qm)) - qm * mp.log(mp.pi)
+            err = abs(rep.log_c_q - float(ref)) / max(1.0, abs(float(ref)))
+            worst = max(worst, err)
+            if rep.c_q > 0.0:
+                assert rep.c_q == math.exp(rep.log_c_q)
+        assert worst <= 1e-14, worst
 
     def test_query_validation(self):
         with pytest.raises(DomainError):

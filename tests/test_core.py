@@ -6,14 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import power_sum_brute, power_sum_mp
+from helpers import (
+    power_sum_brute,
+    power_sum_fd_deriv,
+    power_sum_mp,
+    select_m_terms_reference,
+)
 from sincsum import DomainError, EvalConfig, EvalPoint, PrecisionError, evaluate
 from sincsum import backend
 from sincsum.core import (
     TOL_FLOOR,
     _tail_gauge,
     power_sum,
-    power_sum_fd_deriv,
     select_m_terms,
     sinc,
     sinc_sq,
@@ -81,8 +85,6 @@ class TestEvalTypes:
             EvalConfig(target_tol=0.0)
         with pytest.raises(DomainError):
             EvalConfig(max_terms=0)
-        with pytest.raises(DomainError):
-            EvalConfig(mode="magic")
 
 
 class TestPowerSum:
@@ -191,15 +193,45 @@ class TestPowerSum:
         assert select_m_terms(1e45, cfg.target_tol, cfg.max_terms) == 8
 
 
+def _m_or_error(select, r, tol, cap):
+    try:
+        return select(r, tol, cap)
+    except PrecisionError as exc:
+        return (str(exc), exc.achieved_bound)
+
+
+class TestSelectMTerms:
+    # r log-spaced on [0.5011, 1e50]; tolerances on both sides of the floor,
+    # including the next double above it, where M reaches the thousands;
+    # caps below, at and just above M_FLOOR
+    RS = [0.5011 * (1e50 / 0.5011) ** (i / 299) for i in range(300)]
+    TOLS = [
+        5e-15, TOL_FLOOR, math.nextafter(TOL_FLOOR, 1.0), 1.5e-14, 2e-14, 1e-13,
+        1e-12, 1e-10, 1e-8, 1e-5, 0.5,
+    ]
+    CAPS = [1, 7, 8, 9, 10, 13, 16, 100, 10**6]
+
+    def test_matches_reference_search(self):
+        largest = 0
+        for r in self.RS:
+            for tol in self.TOLS:
+                for cap in self.CAPS:
+                    got = _m_or_error(select_m_terms, r, tol, cap)
+                    assert got == _m_or_error(select_m_terms_reference, r, tol, cap), (
+                        r, tol, cap,
+                    )
+                    if isinstance(got, int):
+                        largest = max(largest, got)
+        assert largest > 2000  # the grid reaches deep into the upward scan
+
+    def test_at_1e_12(self):
+        assert select_m_terms(1.0, 1e-12, 10**6) == 13
+        assert select_m_terms(50.0, 1e-12, 10**6) == 8
+
+
 class TestFdDeriv:
     def test_zero_at_symmetric_point(self):
         assert abs(power_sum_fd_deriv(EvalPoint(2.0, 0.5), 1e-4)) <= 1e-6
 
     def test_zero_for_constant_sum(self):
         assert abs(power_sum_fd_deriv(EvalPoint(1.0, 0.3), 1e-4)) <= 1e-6
-
-    def test_step_domain(self):
-        with pytest.raises(DomainError):
-            power_sum_fd_deriv(EvalPoint(2.0, 0.99999), 1e-4)
-        with pytest.raises(DomainError):
-            power_sum_fd_deriv(EvalPoint(2.0, 0.5), 0.0)

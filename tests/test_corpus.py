@@ -8,7 +8,6 @@ from sincsum.verify.corpus import (
     THRESHOLD,
     corpus,
     quartic_coefficient_margin,
-    ratio_value,
 )
 from sincsum.verify.interval import Interval
 
@@ -73,11 +72,6 @@ class TestPointwiseTruth:
 
 
 class TestAnchorsAndScalars:
-    def test_ratio_endpoint_values(self):
-        # the M = 3 ratio starts at 1/9 and ends at 0
-        assert ratio_value(3, 0.0) == pytest.approx(1.0 / 9.0, abs=1e-15)
-        assert abs(ratio_value(3, 1.0)) <= 1e-15
-
     def test_weighted_quartic_entry_boundary(self):
         entry = {e.id: e for e in ENTRIES}["weighted_cos_quartic"]
         enc = entry.expression(Interval.point(0.0))

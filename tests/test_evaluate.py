@@ -1,41 +1,40 @@
-"""Consensus evaluation modes."""
+"""Consensus evaluation across the routes."""
 
 import pytest
 
-from sincsum import DomainError, EvalConfig, EvalPoint, evaluate
+from sincsum import EvalConfig, EvalPoint, evaluate, exactpoly, power_sum, power_sum_zeta
+
+RS = (0.502, 1.0, 2.5, 3.0, 100.0, 101.0, 1e45)
+XS = (0.0, 1e-20, 0.3, 0.5, 1.0 - 1e-16, 1.0)
 
 
-class TestModes:
-    def test_direct_only(self):
-        res = evaluate(EvalPoint(2.0, 0.3), EvalConfig(mode="direct"))
-        assert set(res.methods) == {"direct"}
-        assert res.spread == 0.0
-        assert res.tail_bound is not None
+class TestEvaluate:
+    @pytest.mark.parametrize("r", RS)
+    @pytest.mark.parametrize("x", XS)
+    def test_equals_routes_called_directly(self, r, x):
+        p = EvalPoint(r, x)
+        cfg = EvalConfig()
+        direct, tail_bound = power_sum(p, cfg)
+        routes = {"direct": direct, "hurwitz": power_sum_zeta(p)}
+        if r == int(r) and r <= exactpoly.R_CAP:
+            routes["polynomial"] = exactpoly.poly_eval(exactpoly.poly_f(int(r)), x)
+        res = evaluate(p, cfg)
+        assert res.methods == routes
+        assert res.value == direct
+        assert res.tail_bound == tail_bound
+        assert res.spread == max(routes.values()) - min(routes.values())
 
-    def test_hurwitz_only(self):
-        res = evaluate(EvalPoint(2.0, 0.3), EvalConfig(mode="hurwitz"))
-        assert set(res.methods) == {"hurwitz"}
-        assert res.tail_bound is None
-
-    def test_polynomial_only(self):
-        res = evaluate(EvalPoint(3.0, 0.25), EvalConfig(mode="polynomial"))
-        assert set(res.methods) == {"polynomial"}
-
-    def test_polynomial_rejects_fractional_order(self):
-        with pytest.raises(DomainError):
-            evaluate(EvalPoint(2.5, 0.3), EvalConfig(mode="polynomial"))
-
-    def test_consensus_integer_order(self):
-        res = evaluate(EvalPoint(4.0, 0.4), EvalConfig(mode="consensus"))
+    def test_integer_order(self):
+        res = evaluate(EvalPoint(4.0, 0.4))
         assert set(res.methods) == {"direct", "hurwitz", "polynomial"}
         assert res.spread <= 1e-11
         assert res.value == res.methods["direct"]
 
-    def test_consensus_fractional_order(self):
-        res = evaluate(EvalPoint(1.75, 0.4), EvalConfig(mode="consensus"))
+    def test_fractional_order(self):
+        res = evaluate(EvalPoint(1.75, 0.4))
         assert set(res.methods) == {"direct", "hurwitz"}
         assert res.spread <= 1e-11
 
-    def test_consensus_beyond_poly_cap(self):
-        res = evaluate(EvalPoint(101.0, 0.5), EvalConfig(mode="consensus"))
+    def test_beyond_poly_cap(self):
+        res = evaluate(EvalPoint(101.0, 0.5))
         assert "polynomial" not in res.methods

@@ -2,10 +2,9 @@
 
 from dataclasses import replace
 
+from helpers import default_manifest, dump_manifest
 from sincsum.manifest import (
     CorpusManifest,
-    default_manifest,
-    dump_manifest,
     load_default_manifest,
     manifest_check,
     parse_manifest,
