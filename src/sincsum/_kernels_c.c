@@ -1,7 +1,10 @@
 /* Compiled twin of sincsum._kernels_py.
  *
  * Same algorithms, same summation order, same Kahan steps and the same
- * guards, statement for statement; only the interpreter overhead is gone.
+ * guards: the same floating-point operations in the same order, though not
+ * statement for statement.  The pure twin runs some loops as chains of map
+ * calls (the lattice sum's central terms) or written out in line (the eight
+ * Euler-Maclaurin corrections); the operations and their order are these.
  * Keep the two files in lockstep: tests/test_backends.py compares them for
  * exact equality.  Both call the platform libm (sin, cos, exp, log, pow), and
  * contraction into fused multiply-adds is switched off below, so every

@@ -3,8 +3,13 @@
 This module is one of two interchangeable backends (the other is the C
 twin ``sincsum._kernels_c``, built from ``_kernels_c.c``); ``sincsum.backend``
 picks one at import time.  Everything here is a plain function of floats with
-no package dependencies, so the compiled twin mirrors it statement for
-statement and returns the same floats bit for bit.
+no package dependencies.  The twin contract is the same floating-point
+operations in the same order, so both return the same floats bit for bit;
+the loops need not match statement for statement.  Where a per-term Python
+loop would spend its time in interpreter dispatch, this twin feeds the same
+operations through chains of C-level ``map`` calls instead (see the
+``power_sum_fixed`` paragraph below), and ``zeta_em``'s eight corrections
+are written out in line.
 
 Definitions
 -----------
@@ -38,15 +43,30 @@ the closed-form routes (a in (1, 2)) sum eight; docs/derivations.md
 section 1 has the gauge table and the accuracy contract.
 
 ``power_sum_fixed`` sums the 2M+1 central terms directly, largest |m| first
-with Kahan compensation, then adds the two analytic tails.  For m > M every
-term factors as (|sin(pi*x)|/pi)^(2r) * (m +- x)^(-2r), so each tail equals
-that prefactor times a Hurwitz zeta value at argument M+1+-x, which
-``zeta_em`` evaluates with a proven remainder gauge.  The reported
-``tail_bound`` is prefactor * (left gauge + right gauge) plus a fixed
-1e-14 floating-point slack covering rounding of the compensated sum.
+with Kahan compensation, then adds the two analytic tails.  The 2M terms
+with m != 0 come from one of two sources feeding the same Kahan loop, which
+skips zero terms.  The columnar source runs each step of ``sinc``'s plain
+branch (x + m, pi*t, sin, quotient, abs, log, times s, exp) as one ``map``
+over the offsets m = M, -M, M-1, ..., 1, -1.  It is used only where the
+scalar ``sinc`` would take that plain branch for every offset and ``exp``
+cannot overflow: M < 2^20, s > 0, x >= 1e-9 and 1 - x >= 1e-4.  There no
+x + m rounds to an integer (1e-9 is more than half an ulp of any |m| <
+2^20, and x + m stays 1e-4 below the next integer), and |x + m| >= 1e-4,
+the Taylor branch's threshold.  1 - x is exact for x >= 1/2, so the last
+condition is |x - 1| >= 1e-4 exactly; x <= 1 - 1e-4 would not be, since
+0.9999 - 1 is -9.9999999999989e-05.  Elsewhere the terms come from
+``_abs_sinc_pow`` one offset at a time.
+
+For m > M every term factors as (|sin(pi*x)|/pi)^(2r) * (m +- x)^(-2r), so
+each tail equals that prefactor times a Hurwitz zeta value at argument
+M+1+-x, which ``zeta_em`` evaluates with a proven remainder gauge.  The
+reported ``tail_bound`` is prefactor * (left gauge + right gauge) plus a
+fixed 1e-14 floating-point slack covering rounding of the compensated sum.
 """
 
 import math
+from itertools import chain, repeat, tee
+from operator import add, mul, truediv
 
 PI = math.pi
 LOG_PI = math.log(math.pi)
@@ -201,6 +221,8 @@ def zeta_em(s: float, a: float) -> tuple[float, float]:
     s = 1) the C twin's infinities and nans are returned.
     """
     n = 0 if a >= 8.0 else 8
+    neg_s = -s
+    c1, c2, c3, c4, c5, c6, c7, c8 = _EM_COEF
     while True:
         if a < 0.0:
             # Python's ** gives complex numbers for a negative base
@@ -209,23 +231,37 @@ def zeta_em(s: float, a: float) -> tuple[float, float]:
             try:
                 w = n + a
                 acc = 0.0
-                c = 0.0
-                for k in range(n - 1, -1, -1):
-                    term = (k + a) ** (-s)
-                    y = term - c
-                    t = acc + y
-                    c = (t - acc) - y
-                    acc = t
-                base = w ** (-s)
+                if n:
+                    c = 0.0
+                    for k in range(n - 1, -1, -1):
+                        term = (k + a) ** neg_s
+                        y = term - c
+                        t = acc + y
+                        c = (t - acc) - y
+                        acc = t
+                base = w ** neg_s
                 total = acc + base * w / (s - 1.0) + 0.5 * base
                 w2 = w * w
+                # _em_pass_c's correction loop written out: corr starts from
+                # 0.0, and before step j + 1 g is multiplied by
+                # ((s + 2j) - 1)(s + 2j)/w^2.
                 g = base * s / w
-                corr = 0.0
-                j = 1
-                for coef in _EM_COEF:
-                    corr += coef * g
-                    g *= (s + 2.0 * j - 1.0) * (s + 2.0 * j) / w2
-                    j += 1
+                corr = 0.0 + c1 * g
+                g *= (s + 2.0 - 1.0) * (s + 2.0) / w2
+                corr += c2 * g
+                g *= (s + 4.0 - 1.0) * (s + 4.0) / w2
+                corr += c3 * g
+                g *= (s + 6.0 - 1.0) * (s + 6.0) / w2
+                corr += c4 * g
+                g *= (s + 8.0 - 1.0) * (s + 8.0) / w2
+                corr += c5 * g
+                g *= (s + 10.0 - 1.0) * (s + 10.0) / w2
+                corr += c6 * g
+                g *= (s + 12.0 - 1.0) * (s + 12.0) / w2
+                corr += c7 * g
+                g *= (s + 14.0 - 1.0) * (s + 14.0) / w2
+                corr += c8 * g
+                g *= (s + 16.0 - 1.0) * (s + 16.0) / w2
                 total += corr
                 gauge = _EM_NEXT * g
             except (OverflowError, ZeroDivisionError):
@@ -234,6 +270,24 @@ def zeta_em(s: float, a: float) -> tuple[float, float]:
         if gauge <= 1e-14 or gauge <= 1e-16 * abs(total) or n >= 1 << 16:
             return total, gauge
         n = n * 2 if n else 8
+
+
+def _central_offsets(m: int):
+    """The central offsets m, -m, m-1, -(m-1), ..., 1, -1 as floats.
+
+    x + (-k) is exactly x - k, so this is the order in which the central
+    block adds its terms: largest |k| first, + before -.
+    """
+    return chain.from_iterable(zip(map(float, range(m, 0, -1)), map(float, range(-m, 0))))
+
+
+#: Offset tuples for m up to this size are built once, sharing their floats
+#: (about 40 kB).  Slicing one per call would cost an allocation, and CPython
+#: 3.11 parks every freed 20-tuple (m = 10) on a free list it never reuses,
+#: up to 2000 of them (400 kB).
+_KEPT_M = 64
+_KEPT_OFFSETS = tuple(_central_offsets(_KEPT_M))
+_OFFSETS = tuple(_KEPT_OFFSETS[2 * (_KEPT_M - m):] for m in range(_KEPT_M + 1))
 
 
 def _abs_sinc_pow(x: float, s: float) -> float:
@@ -257,16 +311,22 @@ def power_sum_fixed(r: float, x: float, m_terms: int) -> tuple[float, float]:
     if m_terms < 0:
         raise ValueError(f"m_terms must be >= 0, got {m_terms}")
     s = 2.0 * r
+    offsets = _OFFSETS[m_terms] if m_terms <= _KEPT_M else _central_offsets(m_terms)
+    xs = map(add, repeat(x), offsets)
+    if m_terms < 1 << 20 and s > 0.0 and x >= 1e-9 and 1.0 - x >= 1e-4:
+        # sinc's plain branch for every offset, one operation per map
+        ts, ts_again = tee(map(mul, repeat(PI), xs))
+        quotients = map(truediv, map(math.sin, ts), ts_again)
+        powers = map(math.exp, map(mul, repeat(s), map(math.log, map(abs, quotients))))
+    else:
+        powers = map(_abs_sinc_pow, xs, repeat(s))
     acc = 0.0
     c = 0.0
-    for k in range(m_terms, 0, -1):
-        for xm in (x + k, x - k):
-            term = _abs_sinc_pow(xm, s)
-            if term != 0.0:
-                y = term - c
-                t = acc + y
-                c = (t - acc) - y
-                acc = t
+    for term in filter(None, powers):  # the C twin's term != 0.0
+        y = term - c
+        t = acc + y
+        c = (t - acc) - y
+        acc = t
     term = _abs_sinc_pow(x, s)
     y = term - c
     acc = acc + y

@@ -31,7 +31,7 @@ from .constants import ConstantQuery, transference_factor
 from .core import EvalConfig, EvalPoint
 from .errors import DomainError, PrecisionError, SizeLimitError
 from .evaluate import evaluate
-from .exactpoly import poly_f, poly_min_certificate
+from .exactpoly import R_CAP, poly_f, poly_min_certificate
 from .verify.suite import SuiteConfig, run_suite, suite_exit_code
 
 #: Exponents k of the figure curves r = 1.02^k.
@@ -88,6 +88,9 @@ def cmd_eval(args) -> int:
 def cmd_poly(args) -> int:
     if not args.r.is_integer():
         raise DomainError(f"poly needs an integer r, got {args.r}")
+    if not 1 <= args.r <= R_CAP:
+        # checked before int(), whose digits a huge r would print instead
+        raise SizeLimitError(f"r must be an integer in [1, {R_CAP}], got {args.r}")
     poly = poly_f(int(args.r))
     min_value, _ = poly_min_certificate(poly)
     fracs = [f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator) for c in poly.coeffs]

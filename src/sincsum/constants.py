@@ -8,7 +8,9 @@ period is
 because sum_{m in Z} |1/2 + m|^(-q) = 2 (2^q - 1) zeta(q).  The torus-to-line
 norm comparison factor is min_constant(q)^(-d/q) = pi^d / (2(2^q-1)zeta(q))^(d/q),
 always at most the crude bound (pi/2)^d since the half-shifted lattice norm
-(2(2^q-1)zeta(q))^(1/q) is at least 2 for every q >= 2.
+(2(2^q-1)zeta(q))^(1/q) is at least 2 for every q >= 2.  It is computed as
+(pi/2)^d * exp(-(d/q) log(2(1-2^-q)zeta(q))), whose exponent is negative, so
+the reported factor never exceeds the reported crude bound.
 
 Only these multiplicative factors are computed here; the operator norms they
 compare are Banach-space dependent and out of scope.  All q-power work is in
@@ -131,10 +133,13 @@ def crude_bound(d: int) -> float:
 def transference_factor(query: ConstantQuery) -> ConstantReport:
     """Full report for one query: minimum constant, comparison factor, bounds."""
     q, d = query.q, query.d
-    # factor <= crude, so checking crude's range first keeps exp() finite.
     crude = crude_bound(d)
     log_c = _log_halfshift_sum(q) - q * _LOG_PI
-    factor = math.exp(-(d / q) * log_c)
+    # log c_q = excess - q log(pi/2) with excess = log(2 (1 - 2^-q) zeta(q)) > 0,
+    # so factor = crude * exp(-(d/q) excess) <= crude holds in floating point
+    # too, and the cancellation of q log(pi/2) against log c_q never happens.
+    excess = _LOG2 + math.log1p(-(2.0 ** (-q))) + _log_zeta(q)
+    factor = crude * math.exp(-(d / q) * excess)
     exact = None
     if q == int(q) and int(q) % 2 == 0 and q <= BERNOULLI_CAP:
         exact = exact_min_constant(int(q) // 2)

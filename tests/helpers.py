@@ -5,8 +5,9 @@ plain partial sums with elementary integral sandwiches for tails, and
 mpmath (a wholly separate implementation) for high-precision references.
 A few are second routes built on the package's kernels (the half-integer
 polygamma route, the finite-difference derivative) or earlier forms of its
-code (the truncation-order search, the majorization check, the manifest
-writer), against which the library is compared.
+code (the truncation-order search, the scalar-loop kernels, the
+majorization check, the manifest writer), against which the library is
+compared.
 """
 
 import io
@@ -18,6 +19,15 @@ from fractions import Fraction
 import mpmath as mp
 
 from sincsum import backend, cli
+from sincsum._kernels_py import (
+    _EM_COEF,
+    _EM_NEXT,
+    FLOAT_SLACK,
+    LOG_PI,
+    PI,
+    _abs_sinc_pow,
+    _em_pass_c,
+)
 from sincsum.core import (
     _B8_OVER_8FACT,
     M_FLOOR,
@@ -169,6 +179,81 @@ def select_m_terms_reference(r: float, target_tol: float, max_terms: int) -> int
             achieved_bound=_tail_gauge(s, max_terms),
         )
     return m
+
+
+def zeta_em_reference(s: float, a: float) -> tuple[float, float]:
+    """The pure twin's ``zeta_em`` as first written, with the eight
+    Euler-Maclaurin corrections in a loop.  Both kernel twins must return
+    the same floats, bit for bit, for every input."""
+    n = 0 if a >= 8.0 else 8
+    while True:
+        if a < 0.0:
+            total, gauge = _em_pass_c(s, a, n)
+        else:
+            try:
+                w = n + a
+                acc = 0.0
+                c = 0.0
+                for k in range(n - 1, -1, -1):
+                    term = (k + a) ** (-s)
+                    y = term - c
+                    t = acc + y
+                    c = (t - acc) - y
+                    acc = t
+                base = w ** (-s)
+                total = acc + base * w / (s - 1.0) + 0.5 * base
+                w2 = w * w
+                g = base * s / w
+                corr = 0.0
+                j = 1
+                for coef in _EM_COEF:
+                    corr += coef * g
+                    g *= (s + 2.0 * j - 1.0) * (s + 2.0 * j) / w2
+                    j += 1
+                total += corr
+                gauge = _EM_NEXT * g
+            except (OverflowError, ZeroDivisionError):
+                total, gauge = _em_pass_c(s, a, n)
+        if gauge <= 1e-14 or gauge <= 1e-16 * abs(total) or n >= 1 << 16:
+            return total, gauge
+        n = n * 2 if n else 8
+
+
+def power_sum_fixed_reference(r: float, x: float, m_terms: int) -> tuple[float, float]:
+    """The pure twin's ``power_sum_fixed`` as first written: one scalar
+    ``_abs_sinc_pow`` call per central term, in a Python loop.  Both kernel
+    twins must return the same floats, bit for bit, for every input."""
+    s = 2.0 * r
+    acc = 0.0
+    c = 0.0
+    for k in range(m_terms, 0, -1):
+        for xm in (x + k, x - k):
+            term = _abs_sinc_pow(xm, s)
+            if term != 0.0:
+                y = term - c
+                t = acc + y
+                c = (t - acc) - y
+                acc = t
+    term = _abs_sinc_pow(x, s)
+    y = term - c
+    acc = acc + y
+    try:
+        sp = abs(math.sin(PI * x))
+    except ValueError:
+        sp = math.nan
+    if sp == 0.0:
+        return acc, FLOAT_SLACK
+    try:
+        pref = math.exp(s * (math.log(sp) - LOG_PI))
+    except OverflowError:
+        pref = math.inf
+    if pref == 0.0:
+        return acc, FLOAT_SLACK
+    z_right, g_right = zeta_em_reference(s, m_terms + 1.0 + x)
+    z_left, g_left = zeta_em_reference(s, m_terms + 1.0 - x)
+    value = acc + pref * (z_right + z_left)
+    tail_bound = pref * (g_right + g_left) + FLOAT_SLACK
+    return value, tail_bound
 
 
 _MANIFEST_HEADER = "# id\tdomain_lo\tdomain_hi\tclaim\tequality_points\tstatement"

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import power_sum_fixed_reference, zeta_em_reference
 from sincsum import _kernels_py as pure
 
 PACKAGE_DIR = Path(pure.__file__).resolve().parent
@@ -190,3 +191,64 @@ class TestSelection:
         out = _import_backend(package_copies["built"], "fortran")
         assert out.returncode != 0
         assert "unknown SINCSUM_BACKEND" in out.stderr
+
+
+# Points at and around the edges of the pure twin's columnar term source
+# (x >= 1e-9 and 1 - x >= 1e-4, s > 0): 1 - 1e-4 rounds to 0.9999, whose
+# x - 1 is within 1e-4 of 0, so the columnar source must not take it, while
+# its lower neighbour is the largest x it does take.
+_up = math.nextafter
+GUARD_X = [0.0, 5e-324, 1e-12, _up(1e-9, 0.0), 1e-9, _up(1e-9, 1.0), 0.5]
+GUARD_X += [_up(1.0 - 1e-4, 0.0), 1.0 - 1e-4, _up(1.0 - 1e-4, 1.0), 1.0 - 1e-16, 1.0]
+GUARD_X += [-3.5, 7.25]
+GUARD_M = [0, 1, 8, 13, 64]
+# -1e4: exp overflows to C's inf; 1e4: far terms underflow to 0 and are skipped
+GUARD_R = [-1e4, -2.0, 0.51, 1.0, 2.5, 1e4, 1e45]
+
+
+class TestReferenceLoops:
+    """Both twins against the scalar loops the pure twin's columnar central
+    block and unrolled Euler-Maclaurin corrections replaced."""
+
+    @pytest.mark.parametrize("x", GUARD_X)
+    def test_power_sum_fixed_at_the_guard(self, twin_kernels, x):
+        for r in GUARD_R:
+            for m in GUARD_M:
+                want = power_sum_fixed_reference(r, x, m)
+                got = twin_kernels.power_sum_fixed(r, x, m)
+                assert _same(want, got), f"({r}, {x!r}, {m}): {want!r} != {got!r}"
+
+    @pytest.mark.parametrize("m", [63, 64, 65, 300])
+    def test_power_sum_fixed_past_the_kept_offsets(self, twin_kernels, m):
+        for x in (1e-9, 0.3, _up(1.0 - 1e-4, 0.0), 1.0 - 1e-4):
+            want = power_sum_fixed_reference(2.5, x, m)
+            assert _same(want, twin_kernels.power_sum_fixed(2.5, x, m))
+
+    def test_power_sum_fixed_random(self, twin_kernels):
+        rng = random.Random(14)
+        for _ in range(400):
+            r = math.exp(rng.uniform(math.log(0.51), math.log(1e5)))
+            x = rng.choice((rng.random(), rng.uniform(0.0, 2e-4), rng.uniform(0.9998, 1.0)))
+            m = rng.randrange(0, 40)
+            want = power_sum_fixed_reference(r, x, m)
+            assert _same(want, twin_kernels.power_sum_fixed(r, x, m)), (r, x, m)
+
+    @pytest.mark.parametrize(
+        "s", [-math.inf, -300.0, -1.0, 0.0, 0.5, 1.0, 1.0 + 1e-9, 2.0, 5.3, 200.0, 1e300]
+        + [math.inf, math.nan],
+    )
+    def test_zeta_em(self, twin_kernels, s):
+        for a in (
+            [-math.inf, -20.5, -0.5, 0.0, 5e-324, 1e-300, 1e-3, 0.5, 1.3, 2.0]
+            + [7.999, 8.0, 8.5, 24.0, 1e300, math.inf, math.nan]
+        ):
+            want = zeta_em_reference(s, a)
+            got = twin_kernels.zeta_em(s, a)
+            assert _same(want, got), f"({s}, {a}): {want!r} != {got!r}"
+
+    def test_zeta_em_random(self, twin_kernels):
+        rng = random.Random(15)
+        for _ in range(2000):
+            s = 1.0 + math.exp(rng.uniform(-20.0, 8.0))
+            a = math.exp(rng.uniform(-10.0, 6.0))
+            assert _same(zeta_em_reference(s, a), twin_kernels.zeta_em(s, a)), (s, a)

@@ -78,6 +78,13 @@ class TestPoly:
         assert run_cli(["poly", "--r", "101"])[0] == 2
         assert run_cli(["poly", "--r", "2.5"])[0] == 2
 
+    def test_huge_r_message_echoes_r(self):
+        # int(1e300) has 301 digits; the message shows the float given instead
+        code, out, err = run_cli(["poly", "--r", "1e300"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: r must be an integer in [1, 100], got 1e+300\n"
+
     @pytest.mark.parametrize("r", ["nan", "inf"])
     def test_non_finite_exits_2(self, r):
         code, out, err = run_cli(["poly", "--r", r])

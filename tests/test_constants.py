@@ -75,11 +75,29 @@ class TestTransferenceFactor:
             rep = transference_factor(ConstantQuery(7.3, d))
             assert rep.factor == pytest.approx(base**d, rel=1e-12)
 
+    # q = 2 * 1.15^k up to about 2.6e18, plus the largest finite q
+    SCAN_Q = [2.0 * 1.15**k for k in range(300)] + [1e308]
+    SCAN_D = (1, 2, 10, 100, 1000, CRUDE_D_MAX)
+
     def test_factor_below_crude(self):
-        for q in (2.0, 3.0, 4.5, 16.0, 64.0, 300.0):
-            for d in (1, 2, 3):
+        # strict, with no slack: where log c_q ~ -q log(pi/2) is large, its
+        # rounding times d/q once pushed factor past crude
+        for q in [3.0, 4.5, 16.0, 64.0, 300.0] + self.SCAN_Q:
+            for d in (3,) + self.SCAN_D:
                 rep = transference_factor(ConstantQuery(q, d))
-                assert rep.factor <= rep.crude + 1e-12
+                assert rep.factor <= rep.crude, (q, d, rep.factor, rep.crude)
+
+    def test_factor_against_mpmath(self):
+        # factor = (pi/2)^d * exp(-(d/q) log(2 (1 - 2^-q) zeta(q))); crude's own
+        # pow carries d rounding errors of pi/2, so the budget grows with d
+        for q in self.SCAN_Q[::7]:
+            for d in self.SCAN_D:
+                rep = transference_factor(ConstantQuery(q, d))
+                with mp.workdps(50):
+                    qm = mp.mpf(q)
+                    ref = (2 * (2**qm - 1) * mp.zeta(qm) / mp.pi**qm) ** (-mp.mpf(d) / qm)
+                err = abs(rep.factor - float(ref)) / float(ref)
+                assert err <= (d + 1) * 2.0**-52, (q, d, err)
 
     def test_factor_is_inverse_power_of_constant(self):
         for q, d in ((3.0, 1), (5.5, 2), (12.0, 3)):
