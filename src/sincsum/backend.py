@@ -17,7 +17,7 @@ if _requested in ("auto", "", "compiled"):
         if _requested == "compiled":
             raise
         from . import _kernels_py as _impl
-elif _requested in ("python", "pure"):
+elif _requested == "python":
     from . import _kernels_py as _impl
 else:
     raise ImportError(f"unknown SINCSUM_BACKEND value: {_requested!r}")

@@ -28,11 +28,11 @@ import json
 import sys
 
 from .constants import ConstantQuery, transference_factor
-from .core import EvalConfig, EvalPoint
+from .core import EvalConfig, EvalPoint, power_sum
 from .errors import DomainError, PrecisionError, SizeLimitError
 from .evaluate import evaluate
-from .exactpoly import R_CAP, poly_f, poly_min_certificate
-from .verify.suite import SuiteConfig, run_suite, suite_exit_code
+from .exactpoly import R_CAP, poly_min_certificate, poly_route
+from .verify.suite import SuiteConfig, run_suite
 
 #: Exponents k of the figure curves r = 1.02^k.
 FIGURE_K = (1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -88,10 +88,9 @@ def cmd_eval(args) -> int:
 def cmd_poly(args) -> int:
     if not args.r.is_integer():
         raise DomainError(f"poly needs an integer r, got {args.r}")
-    if not 1 <= args.r <= R_CAP:
-        # checked before int(), whose digits a huge r would print instead
+    poly = poly_route(args.r)
+    if poly is None:
         raise SizeLimitError(f"r must be an integer in [1, {R_CAP}], got {args.r}")
-    poly = poly_f(int(args.r))
     min_value, _ = poly_min_certificate(poly)
     fracs = [f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator) for c in poly.coeffs]
     if args.format == "json":
@@ -133,14 +132,20 @@ def cmd_verify(args) -> int:
         max_depth=args.max_depth,
     )
     results = run_suite(cfg)
-    code = suite_exit_code(results)
+    statuses = {c.status for c in results}
+    if statuses & {"violated", "failed"}:
+        code = EXIT_VIOLATED
+    elif "inconclusive" in statuses:
+        code = EXIT_INCONCLUSIVE
+    else:
+        code = EXIT_OK
     payload = {
         "schema": "sincsum-verification-report/1",
         "grid": cfg.grid,
         "tol": cfg.tol,
         "seed": cfg.seed,
         "trials": cfg.trials,
-        "passed": code == 0,
+        "passed": code == EXIT_OK,
         "checks": [c.to_json_dict(include_timings=args.timings) for c in results],
     }
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -149,12 +154,11 @@ def cmd_verify(args) -> int:
 
 
 def _figure_rows(grid: int):
-    cfg = EvalConfig(target_tol=1e-12)
     curves = []
     for k in FIGURE_K:
         r = 1.02**k
         xs = [i / (grid - 1) for i in range(grid)]
-        ys = [evaluate(EvalPoint(r=r, x=x), cfg).value for x in xs]
+        ys = [power_sum(EvalPoint(r=r, x=x))[0] for x in xs]
         curves.append((r, xs, ys))
     return curves
 
@@ -230,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--r", type=float, required=True)
     p_eval.add_argument("--x", type=float, required=True)
     p_eval.add_argument("--tol", type=float, default=1e-10)
-    p_eval.add_argument("--max-terms", type=int, default=1_000_000)
+    p_eval.add_argument("--max-terms", type=int, default=EvalConfig.max_terms)
     add_common(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -246,11 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_const.set_defaults(func=cmd_constants)
 
     p_verify = sub.add_parser("verify", help="run the certification suite")
-    p_verify.add_argument("--grid", type=int, default=1024)
-    p_verify.add_argument("--tol", type=float, default=1e-10)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--trials", type=int, default=100_000)
-    p_verify.add_argument("--max-depth", type=int, default=40)
+    p_verify.add_argument("--grid", type=int, default=SuiteConfig.grid)
+    p_verify.add_argument("--tol", type=float, default=SuiteConfig.tol)
+    p_verify.add_argument("--seed", type=int, default=SuiteConfig.seed)
+    p_verify.add_argument("--trials", type=int, default=SuiteConfig.trials)
+    p_verify.add_argument("--max-depth", type=int, default=SuiteConfig.max_depth)
     p_verify.add_argument(
         "--timings",
         action="store_true",

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
+from ._kernels_py import LOG_PI
 from .errors import DomainError
 from .specfun import BERNOULLI_CAP, bernoulli, hurwitz_zeta
 
 _LOG2 = math.log(2.0)
-_LOG_PI = math.log(math.pi)
 
 #: Largest dimension whose crude bound (pi/2)^d is a finite double (1571).
 CRUDE_D_MAX = int(math.log(sys.float_info.max) / math.log(0.5 * math.pi))
@@ -41,8 +41,7 @@ class ConstantQuery:
     d: int = 1
 
     def __post_init__(self):
-        if not math.isfinite(self.q) or self.q < 2.0:
-            raise DomainError(f"q must be >= 2, got {self.q}")
+        _check_q(self.q)
         if self.d < 1:
             raise DomainError(f"d must be >= 1, got {self.d}")
 
@@ -98,16 +97,24 @@ def _log_zeta(q: float) -> float:
     return math.log1p(excess)
 
 
-def _log_halfshift_sum(q: float) -> float:
-    """log of sum_{m in Z} |1/2 + m|^(-q) = log(2 (2^q - 1) zeta(q))."""
-    return _LOG2 + q * _LOG2 + math.log1p(-(2.0 ** (-q))) + _log_zeta(q)
+def _check_q(q: float) -> None:
+    if not math.isfinite(q) or q < 2.0:
+        raise DomainError(f"q must be >= 2, got {q}")
+
+
+def _log_sums(q: float) -> tuple[float, float, float]:
+    """(log h, log c_q, excess) with one zeta evaluation: h = 2 (2^q - 1) zeta(q)
+    is the half-shifted sum, c_q = h / pi^q, and excess = log h - q log 2."""
+    _check_q(q)
+    log_zeta = _log_zeta(q)
+    shrink = math.log1p(-(2.0 ** (-q)))
+    log_h = _LOG2 + q * _LOG2 + shrink + log_zeta
+    return log_h, log_h - q * LOG_PI, _LOG2 + shrink + log_zeta
 
 
 def min_constant(q: float) -> float:
     """Global minimum 2(2^q - 1) zeta(q) / pi^q of the q-th power sinc sum."""
-    if not math.isfinite(q) or q < 2.0:
-        raise DomainError(f"q must be >= 2, got {q}")
-    return math.exp(_log_halfshift_sum(q) - q * _LOG_PI)
+    return math.exp(_log_sums(q)[1])
 
 
 def exact_min_constant(n: int) -> Fraction:
@@ -134,11 +141,10 @@ def transference_factor(query: ConstantQuery) -> ConstantReport:
     """Full report for one query: minimum constant, comparison factor, bounds."""
     q, d = query.q, query.d
     crude = crude_bound(d)
-    log_c = _log_halfshift_sum(q) - q * _LOG_PI
+    _, log_c, excess = _log_sums(q)
     # log c_q = excess - q log(pi/2) with excess = log(2 (1 - 2^-q) zeta(q)) > 0,
     # so factor = crude * exp(-(d/q) excess) <= crude holds in floating point
     # too, and the cancellation of q log(pi/2) against log c_q never happens.
-    excess = _LOG2 + math.log1p(-(2.0 ** (-q))) + _log_zeta(q)
     factor = crude * math.exp(-(d / q) * excess)
     exact = None
     if q == int(q) and int(q) % 2 == 0 and q <= BERNOULLI_CAP:
@@ -156,6 +162,4 @@ def transference_factor(query: ConstantQuery) -> ConstantReport:
 
 def lq_norm_halfshift(q: float) -> float:
     """(sum_{m in Z} |1/2 + m|^(-q))^(1/q); >= 2, nonincreasing, -> 2."""
-    if not math.isfinite(q) or q < 2.0:
-        raise DomainError(f"q must be >= 2, got {q}")
-    return math.exp(_log_halfshift_sum(q) / q)
+    return math.exp(_log_sums(q)[0] / q)

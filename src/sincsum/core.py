@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 from . import backend
+from ._kernels_py import _EM_COEF, LOG_PI
 from .errors import DomainError, PrecisionError
 
 #: Smallest admissible exponent parameter.  The sum diverges at r = 1/2;
@@ -41,8 +42,6 @@ M_FLOOR = 8
 
 #: Absolute floor of any reported tail bound (floating-point slack).
 TOL_FLOOR = backend.FLOAT_SLACK
-
-_B8_OVER_8FACT = 1.0 / 1209600.0
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ def sinc_sq(x: float) -> float:
 
 def _gauge_coeff(s: float) -> float:
     """4 |B_8|/8! * s(s+1)...(s+6) * pi^(-s): the tail gauge less (m+1)^(-s-7)."""
-    decay = math.exp(-s * math.log(math.pi))
+    decay = math.exp(-s * LOG_PI)
     if decay == 0.0:
         # pi^(-s) underflowed, so the gauge is TOL_FLOOR for any finite
         # Pochhammer factor; from s ~ 1e44 on that factor overflows too,
@@ -103,7 +102,8 @@ def _gauge_coeff(s: float) -> float:
     poch = 1.0
     for i in range(7):
         poch *= s + i
-    return 4.0 * _B8_OVER_8FACT * poch * decay
+    # -_EM_COEF[3] = |B_8|/8!
+    return 4.0 * -_EM_COEF[3] * poch * decay
 
 
 def _tail_gauge(s: float, m: int) -> float:

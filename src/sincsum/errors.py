@@ -1,8 +1,7 @@
 """Exception taxonomy shared by all sincsum modules.
 
-The CLI maps these onto exit codes (see sincsum.cli): domain errors exit
-with 2, precision-unreachable with 3, unwritable output with 4, and any
-other exception (a CertificateError included) with 5.
+sincsum.cli maps these onto its exit codes; a CertificateError counts as an
+internal error there.
 """
 
 

@@ -27,7 +27,8 @@ def evaluate(p: EvalPoint, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
     """Evaluate S_r(x) by every applicable route; ``value`` is the direct one."""
     value, tail_bound = power_sum(p, cfg)
     methods = {"direct": value, "hurwitz": specfun.power_sum_zeta(p)}
-    if p.r == int(p.r) and 1 <= int(p.r) <= exactpoly.R_CAP:
-        methods["polynomial"] = exactpoly.poly_eval(exactpoly.poly_f(int(p.r)), p.x)
+    poly = exactpoly.poly_route(p.r)
+    if poly is not None:
+        methods["polynomial"] = exactpoly.poly_eval(poly, p.x)
     spread = max(methods.values()) - min(methods.values())
     return EvalResult(value=value, spread=spread, methods=methods, tail_bound=tail_bound)

@@ -120,6 +120,13 @@ def poly_f(r: int) -> SincPolynomial:
     return _poly_cache[r]
 
 
+def poly_route(r: float) -> SincPolynomial | None:
+    """P_r where the polynomial route applies (integer r in [1, R_CAP]), else None."""
+    if r == int(r) and 1 <= r <= R_CAP:
+        return poly_f(int(r))
+    return None
+
+
 def _check_invariants(r: int, q: list[int], scale: int) -> None:
     """Exact checks on P_r = q / scale with scale = (2r-1)!."""
     if q[-1] == 0:

@@ -18,10 +18,10 @@ from fractions import Fraction
 from . import backend
 from .core import EvalPoint
 from .errors import DomainError, PrecisionError, SizeLimitError
+from .exactpoly import R_CAP
 
-#: Exact integer factorials are used for scalings up to argument 201
-#: (polynomial order cap 100); larger requests are refused.
-FACTORIAL_CAP = 201
+#: Largest exact factorial argument (2 R_CAP + 1); larger requests are refused.
+FACTORIAL_CAP = 2 * R_CAP + 1
 
 #: Largest Bernoulli index computed.  Time grows like n^2 big-integer
 #: products and memory like n^2 log n bits: B_2048 takes under a second and

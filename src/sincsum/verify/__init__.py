@@ -15,7 +15,7 @@ from .engine import (
     verify_global_min,
 )
 from .interval import EnclosureError, Interval, dsinc_iv, intersect, sinc_iv
-from .suite import CheckResult, SuiteConfig, run_suite, suite_exit_code
+from .suite import CheckResult, SuiteConfig, run_suite
 
 __all__ = [
     "ANTISYM_TOL",
@@ -39,6 +39,5 @@ __all__ = [
     "quartic_coefficient_margin",
     "run_suite",
     "sinc_iv",
-    "suite_exit_code",
     "verify_global_min",
 ]

@@ -10,7 +10,7 @@ Where the naive enclosure is too loose, a mean-value (centered) form is
 tried: f(x) in f(c) + f'(hull(box, c)) * (x - c), with the center taken at
 the listed equality points near the box.  First-order zeros at those
 points then certify at machine precision instead of stalling at the box
-width, which is what lets every corpus entry finish above min_width.
+width, which is what lets every corpus entry finish above _MIN_WIDTH.
 
 Violations are only ever reported with a concrete witness point whose own
 (degenerate-interval) evaluation breaks the claim by more than the
@@ -30,6 +30,9 @@ EPS_CERT = 1e-13
 #: Hard cap on bisection depth accepted from callers.
 MAX_DEPTH_CAP = 60
 
+#: Boxes no wider than this are not bisected further.
+_MIN_WIDTH = 1e-8
+
 CLAIMS = ("nonnegative", "nonpositive")
 
 
@@ -41,7 +44,6 @@ class CertifiedInequality:
     domain: Interval
     expression: Callable[[Interval], Interval]
     claim: str
-    min_width: float = 1e-8
     status: str = "inconclusive"
     witness: float | None = None
     dexpression: Callable[[Interval], Interval] | None = None
@@ -54,8 +56,6 @@ class CertifiedInequality:
     def __post_init__(self):
         if self.claim not in CLAIMS:
             raise DomainError(f"claim must be one of {CLAIMS}, got {self.claim!r}")
-        if not (self.min_width > 0.0):
-            raise DomainError(f"min_width must be positive, got {self.min_width}")
 
 
 def _lower_margin(enc: Interval, claim: str) -> float:
@@ -102,14 +102,18 @@ def _centered_enclosure(ineq: CertifiedInequality, box: Interval) -> Interval | 
     return best
 
 
+def _check_max_depth(max_depth: int) -> None:
+    if not 1 <= max_depth <= MAX_DEPTH_CAP:
+        raise DomainError(f"max_depth must be in [1, {MAX_DEPTH_CAP}], got {max_depth}")
+
+
 def certify(ineq: CertifiedInequality, max_depth: int = 40) -> CertifiedInequality:
     """Run adaptive bisection and return the claim with its status filled in.
 
     Deterministic for fixed inputs: boxes are explored left to right,
     depth first, and the first confirmed witness stops the search.
     """
-    if not 1 <= max_depth <= MAX_DEPTH_CAP:
-        raise DomainError(f"max_depth must be in [1, {MAX_DEPTH_CAP}], got {max_depth}")
+    _check_max_depth(max_depth)
     claim = ineq.claim
     stack = [(ineq.domain.lo, ineq.domain.hi, 0)]
     boxes = 0
@@ -151,7 +155,7 @@ def certify(ineq: CertifiedInequality, max_depth: int = 40) -> CertifiedInequali
                 witness = mid
                 break
 
-        if (hi - lo) <= ineq.min_width or depth >= max_depth:
+        if (hi - lo) <= _MIN_WIDTH or depth >= max_depth:
             mid = box.mid
             if point_breaks_claim(mid):
                 witness = mid

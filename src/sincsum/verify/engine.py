@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from .. import backend, exactpoly
-from ..core import select_m_terms
+from ..core import DEFAULT_CONFIG, select_m_terms
 from ..errors import DomainError
 from .corpus import THRESHOLD
 
@@ -43,6 +43,22 @@ def _consensus_value(
     return direct, vmax - vmin
 
 
+def _check_grid(grid_n: int) -> None:
+    if grid_n < MIN_GRID_N:
+        raise DomainError(f"grid_n must be >= {MIN_GRID_N}, got {grid_n}")
+
+
+def _check_tol(tol: float) -> None:
+    # inf would pass every grid comparison
+    if not (tol > 0.0) or not math.isfinite(tol):
+        raise DomainError(f"tol must be positive, got {tol}")
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+
+
 @dataclass(frozen=True)
 class GlobalMinReport:
     """Outcome of the grid certification that S_r dips lowest at x = 1/2."""
@@ -69,10 +85,8 @@ def verify_global_min(r: float, grid_n: int = 1024, tol: float = 1e-9) -> Global
     """
     if r < 1.0:
         raise DomainError(f"the minimum claim is asserted for r >= 1, got {r}")
-    if grid_n < MIN_GRID_N:
-        raise DomainError(f"grid_n must be >= {MIN_GRID_N}, got {grid_n}")
-    if not (tol > 0.0):
-        raise DomainError(f"tol must be positive, got {tol}")
+    _check_grid(grid_n)
+    _check_tol(tol)
     if tol < RIGOR_FLOOR:
         return GlobalMinReport(
             r=r,
@@ -88,10 +102,8 @@ def verify_global_min(r: float, grid_n: int = 1024, tol: float = 1e-9) -> Global
             note=f"tol {tol:g} is below the floating-point rigor floor {RIGOR_FLOOR:g}",
         )
 
-    m_terms = select_m_terms(r, 1e-12, 10_000_000)
-    poly = None
-    if r == int(r) and 1 <= int(r) <= exactpoly.R_CAP:
-        poly = exactpoly.poly_f(int(r))
+    m_terms = select_m_terms(r, DEFAULT_CONFIG.target_tol, DEFAULT_CONFIG.max_terms)
+    poly = exactpoly.poly_route(r)
 
     center, spread_max = _consensus_value(r, 0.5, m_terms, poly)
 
@@ -166,8 +178,7 @@ def majorization_property(trials: int, seed: int) -> MajorizationReport:
     the report of the plain ``random`` calls; docs/derivations.md section 9
     states this contract and proves the lemma.
     """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
     rng = random.Random(seed)
     rand = rng.random
     getrandbits = rng.getrandbits

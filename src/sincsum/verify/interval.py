@@ -287,9 +287,8 @@ def _sinc_quotient(x: Interval) -> Interval:
     return t.sin() / t
 
 
-def _split_at_singularity(x: Interval):
-    """Split a box at +-_SINC_SPLIT into (series piece, quotient pieces)."""
-    series_piece = None
+def _split_hull(x: Interval, series, quotient) -> Interval:
+    """Hull of ``series`` on x within +-_SINC_SPLIT and ``quotient`` outside it."""
     quotient_pieces = []
     if x.lo < -_SINC_SPLIT:
         quotient_pieces.append(Interval(x.lo, min(x.hi, -_SINC_SPLIT)))
@@ -297,21 +296,19 @@ def _split_at_singularity(x: Interval):
         quotient_pieces.append(Interval(max(x.lo, _SINC_SPLIT), x.hi))
     mid_lo = max(x.lo, -_SINC_SPLIT)
     mid_hi = min(x.hi, _SINC_SPLIT)
-    if mid_lo <= mid_hi:
-        series_piece = Interval(mid_lo, mid_hi)
-    return series_piece, quotient_pieces
-
-
-def sinc_iv(x: Interval) -> Interval:
-    """Enclosure of sin(pi t)/(pi t) over t in x."""
-    series_piece, quotient_pieces = _split_at_singularity(x)
-    parts = [_sinc_quotient(p) for p in quotient_pieces]
+    series_piece = Interval(mid_lo, mid_hi) if mid_lo <= mid_hi else None
+    parts = [quotient(p) for p in quotient_pieces]
     if series_piece is not None:
-        parts.append(_sinc_series(series_piece))
+        parts.append(series(series_piece))
     out = parts[0]
     for p in parts[1:]:
         out = Interval.hull(out, p)
     return out
+
+
+def sinc_iv(x: Interval) -> Interval:
+    """Enclosure of sin(pi t)/(pi t) over t in x."""
+    return _split_hull(x, _sinc_series, _sinc_quotient)
 
 
 def _dsinc_series(x: Interval) -> Interval:
@@ -328,11 +325,4 @@ def _dsinc_quotient(x: Interval) -> Interval:
 
 def dsinc_iv(x: Interval) -> Interval:
     """Enclosure of d/dt [sin(pi t)/(pi t)] over t in x."""
-    series_piece, quotient_pieces = _split_at_singularity(x)
-    parts = [_dsinc_quotient(p) for p in quotient_pieces]
-    if series_piece is not None:
-        parts.append(_dsinc_series(series_piece))
-    out = parts[0]
-    for p in parts[1:]:
-        out = Interval.hull(out, p)
-    return out
+    return _split_hull(x, _dsinc_series, _dsinc_quotient)

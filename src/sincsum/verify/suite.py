@@ -17,10 +17,16 @@ import math
 import time
 from dataclasses import astuple, dataclass
 
-from ..errors import DomainError
-from .certify import MAX_DEPTH_CAP, certify
+from .certify import _check_max_depth, certify
 from .corpus import corpus, quartic_coefficient_margin
-from .engine import MIN_GRID_N, majorization_property, proof_chain, verify_global_min
+from .engine import (
+    _check_grid,
+    _check_tol,
+    _check_trials,
+    majorization_property,
+    proof_chain,
+    verify_global_min,
+)
 
 #: Exponent parameters exercised by the global-minimum suite.
 GLOBAL_MIN_R = (1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 8.0, 1.02**256)
@@ -38,9 +44,9 @@ class CheckResult:
     check_id: str
     status: str  # certified | passed | failed | violated | inconclusive
     worst_margin: float | None
-    witness: float | None
-    boxes_visited: int | None
-    wall_time_ms: float | None
+    witness: float | None = None
+    boxes_visited: int | None = None
+    wall_time_ms: float | None = None
 
     def to_json_dict(self, include_timings: bool = False) -> dict:
         return {
@@ -52,10 +58,6 @@ class CheckResult:
             "wall_time_ms": self.wall_time_ms if include_timings else None,
         }
 
-    @property
-    def ok(self) -> bool:
-        return self.status in ("certified", "passed")
-
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -66,17 +68,11 @@ class SuiteConfig:
     max_depth: int = 40
 
     def __post_init__(self):
-        # checked here so a bad flag fails before any check runs
-        if self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials}")
-        if self.grid < MIN_GRID_N:
-            raise DomainError(f"grid_n must be >= {MIN_GRID_N}, got {self.grid}")
-        if not (self.tol > 0.0):
-            raise DomainError(f"tol must be positive, got {self.tol}")
-        if not 1 <= self.max_depth <= MAX_DEPTH_CAP:
-            raise DomainError(
-                f"max_depth must be in [1, {MAX_DEPTH_CAP}], got {self.max_depth}"
-            )
+        # the checks' own rules, so a bad flag fails before any check runs
+        _check_trials(self.trials)
+        _check_grid(self.grid)
+        _check_tol(self.tol)
+        _check_max_depth(self.max_depth)
 
 
 def _finite_or_none(v) -> float | None:
@@ -92,8 +88,6 @@ def _majorization_check(cfg: SuiteConfig) -> CheckResult:
         check_id="majorization_random_instances",
         status="passed" if maj.violations == 0 else "failed",
         worst_margin=_finite_or_none(maj.min_margin),
-        witness=None,
-        boxes_visited=None,
         wall_time_ms=1e3 * (time.perf_counter() - t0),
     )
 
@@ -232,7 +226,6 @@ def _other_checks(cfg: SuiteConfig) -> list[CheckResult]:
             status="passed" if scalar_ok else "failed",
             worst_margin=margin_const - (-2.0),
             witness=None if scalar_ok else margin_const,
-            boxes_visited=None,
             wall_time_ms=1e3 * (time.perf_counter() - t0),
         )
     )
@@ -246,7 +239,6 @@ def _other_checks(cfg: SuiteConfig) -> list[CheckResult]:
                 status=rep.status,
                 worst_margin=_finite_or_none(rep.worst_margin),
                 witness=rep.worst_x if rep.status == "failed" else None,
-                boxes_visited=None,
                 wall_time_ms=1e3 * (time.perf_counter() - t0),
             )
         )
@@ -269,7 +261,6 @@ def _other_checks(cfg: SuiteConfig) -> list[CheckResult]:
                 status="passed" if ok else "failed",
                 worst_margin=_finite_or_none(worst),
                 witness=None if ok else worst_x,
-                boxes_visited=None,
                 wall_time_ms=1e3 * (time.perf_counter() - t0),
             )
         )
@@ -281,19 +272,8 @@ def _other_checks(cfg: SuiteConfig) -> list[CheckResult]:
             check_id="manifest_corpus_match",
             status="passed" if man.passed else "failed",
             worst_margin=_finite_or_none(man.equality_worst),
-            witness=None,
-            boxes_visited=None,
             wall_time_ms=1e3 * (time.perf_counter() - t0),
         )
     )
 
     return results
-
-
-def suite_exit_code(results: list[CheckResult]) -> int:
-    """0 all ok, 1 any violated/failed, 2 any inconclusive."""
-    if any(c.status in ("violated", "failed") for c in results):
-        return 1
-    if any(c.status == "inconclusive" for c in results):
-        return 2
-    return 0

@@ -6,8 +6,8 @@ mpmath (a wholly separate implementation) for high-precision references.
 A few are second routes built on the package's kernels (the half-integer
 polygamma route, the finite-difference derivative) or earlier forms of its
 code (the truncation-order search, the scalar-loop kernels, the
-majorization check, the manifest writer), against which the library is
-compared.
+majorization check, the manifest writer, the transference formulas),
+against which the library is compared.
 """
 
 import io
@@ -28,8 +28,8 @@ from sincsum._kernels_py import (
     _abs_sinc_pow,
     _em_pass_c,
 )
+from sincsum.constants import _log_zeta, crude_bound
 from sincsum.core import (
-    _B8_OVER_8FACT,
     M_FLOOR,
     TOL_FLOOR,
     EvalConfig,
@@ -160,7 +160,7 @@ def select_m_terms_reference(r: float, target_tol: float, max_terms: int) -> int
     poch = 1.0
     for i in range(7):
         poch *= s + i
-    coeff = 4.0 * _B8_OVER_8FACT * poch * math.exp(-s * math.log(math.pi))
+    coeff = 4.0 * -_EM_COEF[3] * poch * math.exp(-s * math.log(math.pi))
     guess = int(math.exp(math.log(coeff / (target_tol - TOL_FLOOR)) / (s + 7.0))) + 1
     m = max(M_FLOOR, guess - 2)
     while _tail_gauge(s, m) > target_tol:
@@ -338,6 +338,19 @@ def poly_step_operator(coeffs, r: int) -> tuple[Fraction, ...]:
     total = _scale(total, Fraction(1, 2 * r * (2 * r + 1)))
     total += [Fraction(0)] * (r + 1 - len(total))
     return tuple(total[: r + 1])
+
+
+def constants_reference(q: float, d: int) -> tuple[float, float, float, float]:
+    """``(c_q, log c_q, factor, half-shifted norm)`` as ``min_constant``,
+    ``transference_factor`` and ``lq_norm_halfshift`` first computed them,
+    each evaluating log zeta(q) for itself; the library must match bit for bit.
+    """
+    log2 = math.log(2.0)
+    log_h = log2 + q * log2 + math.log1p(-(2.0 ** (-q))) + _log_zeta(q)
+    log_c = log_h - q * math.log(math.pi)
+    excess = log2 + math.log1p(-(2.0 ** (-q))) + _log_zeta(q)
+    factor = crude_bound(d) * math.exp(-(d / q) * excess)
+    return math.exp(log_c), log_c, factor, math.exp(log_h / q)
 
 
 def uniform_grid(n: int) -> list[float]:

@@ -187,8 +187,9 @@ class TestSelection:
         assert out.returncode != 0
         assert "ImportError" in out.stderr
 
-    def test_unknown_backend_rejected(self, package_copies):
-        out = _import_backend(package_copies["built"], "fortran")
+    @pytest.mark.parametrize("requested", ["fortran", "pure"])
+    def test_unknown_backend_rejected(self, package_copies, requested):
+        out = _import_backend(package_copies["built"], requested)
         assert out.returncode != 0
         assert "unknown SINCSUM_BACKEND" in out.stderr
 

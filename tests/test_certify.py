@@ -93,7 +93,7 @@ class TestInconclusive:
 
     def test_without_derivative_boundary_zero_stalls(self):
         # same claim, no mean-value refinement: boundary equality points
-        # leave width-scale slack that min_width cannot close
+        # leave width-scale slack that the minimum box width cannot close
         quarter_pi = PI_I / 4.0
         out = certify(
             CertifiedInequality(
@@ -101,7 +101,6 @@ class TestInconclusive:
                 domain=Interval(0.0, 1.0),
                 expression=lambda x: SQRT2_I * (quarter_pi * x).sin() - x,
                 claim="nonnegative",
-                min_width=1e-8,
             )
         )
         assert out.status == "inconclusive"

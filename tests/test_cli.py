@@ -1,5 +1,6 @@
 """CLI surface: output formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -9,11 +10,12 @@ from fractions import Fraction
 import pytest
 
 from helpers import run_cli
-from sincsum import DomainError, cli, exact_min_constant
+from sincsum import DomainError, EvalConfig, cli, exact_min_constant
 from sincsum.specfun import BERNOULLI_CAP
 from sincsum.verify.certify import MAX_DEPTH_CAP, certify
 from sincsum.verify.corpus import corpus
 from sincsum.verify.engine import majorization_property, verify_global_min
+from sincsum.verify.suite import CheckResult, SuiteConfig
 
 
 class TestEval:
@@ -36,6 +38,11 @@ class TestEval:
         header, row = out.strip().splitlines()
         assert header == "r,x,value,method_spread"
         assert float(row.split(",")[2]) == pytest.approx(0.5427545144408352, abs=1e-11)
+
+    def test_max_terms_default_is_the_config_default(self):
+        args = cli.build_parser().parse_args(["eval", "--r", "2", "--x", "0.3"])
+        defaults = {f.name: f.default for f in dataclasses.fields(EvalConfig)}
+        assert args.max_terms == defaults["max_terms"]
 
     def test_domain_error_exit(self):
         code, _, err = run_cli(["eval", "--r", "0.4", "--x", "0.5"])
@@ -182,6 +189,7 @@ class TestVerify:
             ("--tol", "0", lambda: verify_global_min(1.0, tol=0.0)),
             ("--tol", "-1e-9", lambda: verify_global_min(1.0, tol=-1e-9)),
             ("--tol", "nan", lambda: verify_global_min(1.0, tol=math.nan)),
+            ("--tol", "inf", lambda: verify_global_min(1.0, tol=math.inf)),
             ("--max-depth", "0", lambda: certify(corpus()[0], max_depth=0)),
             (
                 "--max-depth",
@@ -190,7 +198,8 @@ class TestVerify:
             ),
         ],
         ids=[
-            "trials0", "trials-5", "grid15", "tol0", "tol-1e-9", "tolnan", "depth0", "depth61"
+            "trials0", "trials-5", "grid15", "tol0", "tol-1e-9", "tolnan", "tolinf",
+            "depth0", "depth61",
         ],
     )
     def test_bad_flag_fails_before_any_check(self, monkeypatch, flag, value, library_error):
@@ -206,6 +215,27 @@ class TestVerify:
         assert code == cli.EXIT_DOMAIN
         assert out == ""
         assert err == f"error: {expected.value}\n"
+
+    def test_flag_defaults_are_the_config_defaults(self):
+        args = cli.build_parser().parse_args(["verify"])
+        for f in dataclasses.fields(SuiteConfig):
+            assert getattr(args, f.name) == f.default, f.name
+
+    @pytest.mark.parametrize(
+        "statuses, code",
+        [
+            (("certified", "passed"), cli.EXIT_OK),
+            (("passed", "inconclusive"), cli.EXIT_INCONCLUSIVE),
+            (("inconclusive", "failed"), cli.EXIT_VIOLATED),
+            (("violated", "passed"), cli.EXIT_VIOLATED),
+        ],
+    )
+    def test_exit_code_from_statuses(self, monkeypatch, statuses, code):
+        results = [CheckResult(f"c{i}", status, None) for i, status in enumerate(statuses)]
+        monkeypatch.setattr(cli, "run_suite", lambda cfg: results)
+        got, out, _ = run_cli(["verify"])
+        assert got == code
+        assert json.loads(out)["passed"] is (code == cli.EXIT_OK)
 
     def test_timings_flag(self):
         _, out, _ = run_cli(

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from helpers import zeta_brute
+from helpers import constants_reference, zeta_brute
 from sincsum import (
     ConstantQuery,
     DomainError,
@@ -21,6 +21,7 @@ from sincsum import (
     power_sum,
     transference_factor,
 )
+from sincsum import constants
 from sincsum.constants import CRUDE_D_MAX
 
 
@@ -86,6 +87,29 @@ class TestTransferenceFactor:
             for d in (3,) + self.SCAN_D:
                 rep = transference_factor(ConstantQuery(q, d))
                 assert rep.factor <= rep.crude, (q, d, rep.factor, rep.crude)
+
+    def test_bit_equal_to_reference_formulas(self):
+        for q in self.SCAN_Q:
+            c_q, log_c, _, norm = constants_reference(q, 1)
+            assert min_constant(q) == c_q, q
+            assert lq_norm_halfshift(q) == norm, q
+            for d in self.SCAN_D:
+                rep = transference_factor(ConstantQuery(q, d))
+                assert (rep.c_q, rep.log_c_q, rep.factor) == constants_reference(q, d)[:3]
+
+    def test_one_zeta_evaluation_per_report(self, monkeypatch):
+        calls = []
+        log_zeta = constants._log_zeta
+
+        def counted(q):
+            calls.append(q)
+            return log_zeta(q)
+
+        monkeypatch.setattr(constants, "_log_zeta", counted)
+        for q in (2.0, 7.3, 60.0, 1e308):
+            calls.clear()
+            transference_factor(ConstantQuery(q, 3))
+            assert calls == [q]
 
     def test_factor_against_mpmath(self):
         # factor = (pi/2)^d * exp(-(d/q) log(2 (1 - 2^-q) zeta(q))); crude's own

@@ -135,6 +135,27 @@ class TestEval:
             poly_eval(poly_f(2), 1.5)
 
 
+class TestPolyRoute:
+    @pytest.mark.parametrize(
+        "r, order",
+        [
+            (1, 1),
+            (1.0, 1),
+            (100.0, 100),
+            (101.0, None),
+            (2.5, None),
+            (1.0 + 2.0**-52, None),
+            (0.999, None),
+        ],
+    )
+    def test_integer_orders_up_to_cap_only(self, r, order):
+        poly = exactpoly.poly_route(r)
+        if order is None:
+            assert poly is None
+        else:
+            assert poly is poly_f(order)
+
+
 class TestMinCertificate:
     def test_values(self):
         assert poly_min_certificate(poly_f(2))[0] == F(1, 3)
