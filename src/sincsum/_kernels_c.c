@@ -89,7 +89,8 @@ dsinc_d(double x)
 /* Hurwitz zeta (value, gauge) by Euler-Maclaurin after n leading terms.
  * n starts at the smallest block with w = n + a >= 8 (0 when a >= 8, else
  * 8), where the gauge is at most 4.5e-16 for every s > 1, and doubles until
- * the gauge is below 1e-14 absolute or 1e-16 relative. */
+ * the gauge is below 1e-14 absolute or 1e-16 relative.  Where w^-s
+ * underflows to 0 the leading sum is returned with gauge 0. */
 static pair
 zeta_em_d(double s, double a)
 {
@@ -108,6 +109,8 @@ zeta_em_d(double s, double a)
             acc = t;
         }
         base = pow(w, -s);
+        if (base == 0.0)
+            return (pair){acc, 0.0}; /* the factors below would overflow: 0 * inf */
         total = acc + base * w / (s - 1.0) + 0.5 * base;
         w2 = w * w;
         g = base * s / w;

@@ -194,6 +194,8 @@ def _em_pass_c(s: float, a: float, n: int) -> tuple[float, float]:
         c = (t - acc) - y
         acc = t
     base = _pow(w, -s)
+    if base == 0.0:
+        return acc, 0.0
     total = acc + _div(base * w, s - 1.0) + 0.5 * base
     w2 = w * w
     g = _div(base * s, w)
@@ -217,6 +219,7 @@ def zeta_em(s: float, a: float) -> tuple[float, float]:
     doubles until the gauge is below 1e-14 absolute or 1e-16 relative.  The
     value is therefore accurate to 1e-14 absolute or 1e-16 relative: for
     a >= 8 and s much larger than a only the absolute bound may hold.
+    Where w^(-s) underflows to 0, the leading sum is returned with gauge 0.
     Outside s > 1, a > 0 (a leading term past the float range, a <= 0,
     s = 1) the C twin's infinities and nans are returned.
     """
@@ -240,6 +243,8 @@ def zeta_em(s: float, a: float) -> tuple[float, float]:
                         c = (t - acc) - y
                         acc = t
                 base = w ** neg_s
+                if base == 0.0:  # the factors below would overflow: 0 * inf
+                    return acc, 0.0
                 total = acc + base * w / (s - 1.0) + 0.5 * base
                 w2 = w * w
                 # _em_pass_c's correction loop written out: corr starts from

@@ -65,7 +65,7 @@ def _fmt(v: float) -> str:
 
 def cmd_eval(args) -> int:
     point = EvalPoint(r=args.r, x=args.x)
-    cfg = EvalConfig(target_tol=args.tol, max_terms=args.max_terms)
+    cfg = EvalConfig(target_tol=args.tol)
     res = evaluate(point, cfg)
     if args.format == "csv":
         text = "r,x,value,method_spread\n" + ",".join(
@@ -129,7 +129,6 @@ def cmd_verify(args) -> int:
         tol=args.tol,
         seed=args.seed,
         trials=args.trials,
-        max_depth=args.max_depth,
     )
     results = run_suite(cfg)
     statuses = {c.status for c in results}
@@ -233,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate the power sum at one point")
     p_eval.add_argument("--r", type=float, required=True)
     p_eval.add_argument("--x", type=float, required=True)
-    p_eval.add_argument("--tol", type=float, default=1e-10)
-    p_eval.add_argument("--max-terms", type=int, default=EvalConfig.max_terms)
+    p_eval.add_argument("--tol", type=float, default=EvalConfig.target_tol)
     add_common(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -254,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tol", type=float, default=SuiteConfig.tol)
     p_verify.add_argument("--seed", type=int, default=SuiteConfig.seed)
     p_verify.add_argument("--trials", type=int, default=SuiteConfig.trials)
-    p_verify.add_argument("--max-depth", type=int, default=SuiteConfig.max_depth)
     p_verify.add_argument(
         "--timings",
         action="store_true",

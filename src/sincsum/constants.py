@@ -42,8 +42,7 @@ class ConstantQuery:
 
     def __post_init__(self):
         _check_q(self.q)
-        if self.d < 1:
-            raise DomainError(f"d must be >= 1, got {self.d}")
+        _check_d(self.d)
 
 
 @dataclass(frozen=True)
@@ -102,6 +101,11 @@ def _check_q(q: float) -> None:
         raise DomainError(f"q must be >= 2, got {q}")
 
 
+def _check_d(d: int) -> None:
+    if d < 1:
+        raise DomainError(f"d must be >= 1, got {d}")
+
+
 def _log_sums(q: float) -> tuple[float, float, float]:
     """(log h, log c_q, excess) with one zeta evaluation: h = 2 (2^q - 1) zeta(q)
     is the half-shifted sum, c_q = h / pi^q, and excess = log h - q log 2."""
@@ -127,8 +131,7 @@ def exact_min_constant(n: int) -> Fraction:
 
 def crude_bound(d: int) -> float:
     """(pi/2)^d, the dimension-d bound that needs no zeta evaluation."""
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
+    _check_d(d)
     if d > CRUDE_D_MAX:
         raise DomainError(
             f"d = {d} is too large: (pi/2)^d overflows a double above "

@@ -14,18 +14,20 @@ a-priori tail gauge
     P(M) = 4 * |B_8|/8! * s(s+1)...(s+6) * pi^(-s) * (M+1)^(-s-7) + 1e-14
 
 falls below the requested tolerance (s = 2r), stepping M up one at a time
-from M_FLOOR (at 1e-12, M is 8 to 16 for every r).  The fixed 1e-14 term
-covers floating-point accumulation.  In floating point P(M) dominates the
-tail bound the kernel reports, which adds prefactor times the two
-eight-correction Euler-Maclaurin gauges to the same 1e-14; see
-docs/derivations.md section 2, and tests/test_core.py, which checks it
-for r up to 500.  (Where the eight-correction gauge exceeds P's
-three-correction term in exact arithmetic, both are below 3e-54 and
-vanish into the 1e-14.)  A tolerance below that floor is therefore
-refused as unreachable rather than promised dishonestly.
+from M_FLOOR (at 1e-12, M is 8 to 16 for every r; above 1e-14, M <= 2,618,
+so the scan needs no cap).  The fixed 1e-14 term covers floating-point
+accumulation.  In floating point P(M) dominates the tail bound the kernel
+reports, which adds prefactor times the two eight-correction
+Euler-Maclaurin gauges to the same 1e-14; see docs/derivations.md section
+2, and tests/test_core.py, which checks it for r up to 500.  (Where the
+eight-correction gauge exceeds P's three-correction term in exact
+arithmetic, both are below 3e-54 and vanish into the 1e-14.)  A tolerance
+below that floor is therefore refused as unreachable rather than promised
+dishonestly.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import backend
@@ -37,6 +39,10 @@ from .errors import DomainError, PrecisionError
 #: above it.
 R_MIN = 0.501
 
+#: Largest admissible exponent parameter: above it 2r * pi, the derivative's
+#: prefactor, overflows a double.
+R_MAX = sys.float_info.max / (2.0 * math.pi)
+
 #: Minimum half-width of the directly summed block.
 M_FLOOR = 8
 
@@ -46,16 +52,20 @@ TOL_FLOOR = backend.FLOAT_SLACK
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Evaluation budget: tolerance and term cap."""
+    """Evaluation budget: the tolerance the tail bound must meet."""
 
     target_tol: float = 1e-12
-    max_terms: int = 1_000_000
 
     def __post_init__(self):
         if not (self.target_tol > 0.0) or not math.isfinite(self.target_tol):
             raise DomainError(f"target_tol must be positive, got {self.target_tol}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
+
+
+def _check_x(x: float) -> None:
+    """The one rule for evaluation points: 0 <= x <= 1.  Per-point paths
+    test it in line and call this only to raise, saving a call per point."""
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"x must lie in [0,1], got {x}")
 
 
 @dataclass(frozen=True)
@@ -70,8 +80,10 @@ class EvalPoint:
             raise DomainError(f"non-finite evaluation point ({self.r}, {self.x})")
         if self.r <= R_MIN:
             raise DomainError(f"r must exceed {R_MIN} (sum diverges at 1/2), got {self.r}")
+        if self.r > R_MAX:
+            raise DomainError(f"r must be at most {R_MAX} (2r*pi overflows), got {self.r}")
         if not 0.0 <= self.x <= 1.0:
-            raise DomainError(f"x must lie in [0,1], got {self.x}")
+            _check_x(self.x)
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -106,35 +118,24 @@ def _gauge_coeff(s: float) -> float:
     return 4.0 * -_EM_COEF[3] * poch * decay
 
 
-def _tail_gauge(s: float, m: int) -> float:
-    """A-priori bound on the corrected tail error for half-width m."""
-    return _gauge_coeff(s) * (m + 1.0) ** (-s - 7.0) + TOL_FLOOR
-
-
-def select_m_terms(r: float, target_tol: float, max_terms: int) -> int:
+def select_m_terms(r: float, target_tol: float) -> int:
     """Smallest block half-width whose tail gauge meets ``target_tol``.
 
-    Raises PrecisionError (carrying the achieved bound) when no admissible
-    M can reach the tolerance, including tolerances below the
-    floating-point floor.
+    Raises PrecisionError for a tolerance at or below the floating-point
+    floor, carrying TOL_FLOOR, the gauge's limit as M grows, as the
+    achieved bound.
     """
-    s = 2.0 * r
     if target_tol <= TOL_FLOOR:
         raise PrecisionError(
             f"target_tol {target_tol:g} is below the floating-point floor "
             f"{TOL_FLOOR:g}",
-            achieved_bound=_tail_gauge(s, max(max_terms, M_FLOOR)),
+            achieved_bound=TOL_FLOOR,
         )
+    s = 2.0 * r
     coeff = _gauge_coeff(s)
     m = M_FLOOR
     while coeff * (m + 1.0) ** (-s - 7.0) + TOL_FLOOR > target_tol:
         m += 1
-        if m > max_terms:
-            raise PrecisionError(
-                f"tail bound cannot reach {target_tol:g} within max_terms="
-                f"{max_terms}",
-                achieved_bound=_tail_gauge(s, max_terms),
-            )
     return m
 
 
@@ -144,5 +145,5 @@ def power_sum(p: EvalPoint, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[float, fl
     The true sum differs from ``value`` by at most ``tail_bound``, which is
     itself at most ``cfg.target_tol``.
     """
-    m = select_m_terms(p.r, cfg.target_tol, cfg.max_terms)
+    m = select_m_terms(p.r, cfg.target_tol)
     return backend.power_sum_fixed(p.r, p.x, m)

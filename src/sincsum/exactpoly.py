@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .core import _check_x
 from .errors import CertificateError, SizeLimitError
 
 #: Largest supported polynomial order; keeps the exact factorial scaling
@@ -140,7 +141,7 @@ def _check_invariants(r: int, q: list[int], scale: int) -> None:
 def poly_eval(p: SincPolynomial, x: float) -> float:
     """Horner evaluation at y = cos^2(pi x), coefficients floated once."""
     if not 0.0 <= x <= 1.0:
-        raise CertificateError(f"x must lie in [0,1], got {x}")
+        _check_x(x)
     cp = math.cos(math.pi * x)
     y = cp * cp
     acc = 0.0

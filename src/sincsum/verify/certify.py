@@ -27,10 +27,9 @@ from .interval import EnclosureError, Interval, intersect
 #: Certification slack at and around equality points.
 EPS_CERT = 1e-13
 
-#: Hard cap on bisection depth accepted from callers.
-MAX_DEPTH_CAP = 60
-
-#: Boxes no wider than this are not bisected further.
+#: Boxes no wider than this are not bisected further.  This alone bounds
+#: the search: no box lies deeper than ceil(log2(width / _MIN_WIDTH)) levels
+#: below a domain of that width, 27 for a unit domain.
 _MIN_WIDTH = 1e-8
 
 CLAIMS = ("nonnegative", "nonpositive")
@@ -102,18 +101,12 @@ def _centered_enclosure(ineq: CertifiedInequality, box: Interval) -> Interval | 
     return best
 
 
-def _check_max_depth(max_depth: int) -> None:
-    if not 1 <= max_depth <= MAX_DEPTH_CAP:
-        raise DomainError(f"max_depth must be in [1, {MAX_DEPTH_CAP}], got {max_depth}")
-
-
-def certify(ineq: CertifiedInequality, max_depth: int = 40) -> CertifiedInequality:
+def certify(ineq: CertifiedInequality) -> CertifiedInequality:
     """Run adaptive bisection and return the claim with its status filled in.
 
     Deterministic for fixed inputs: boxes are explored left to right,
     depth first, and the first confirmed witness stops the search.
     """
-    _check_max_depth(max_depth)
     claim = ineq.claim
     stack = [(ineq.domain.lo, ineq.domain.hi, 0)]
     boxes = 0
@@ -155,7 +148,7 @@ def certify(ineq: CertifiedInequality, max_depth: int = 40) -> CertifiedInequali
                 witness = mid
                 break
 
-        if (hi - lo) <= _MIN_WIDTH or depth >= max_depth:
+        if (hi - lo) <= _MIN_WIDTH:
             mid = box.mid
             if point_breaks_claim(mid):
                 witness = mid

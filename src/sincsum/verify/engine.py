@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from .. import backend, exactpoly
-from ..core import DEFAULT_CONFIG, select_m_terms
+from ..core import DEFAULT_CONFIG, _check_x, select_m_terms
 from ..errors import DomainError
 from .corpus import THRESHOLD
 
@@ -76,7 +76,7 @@ class GlobalMinReport:
     note: str = ""
 
 
-def verify_global_min(r: float, grid_n: int = 1024, tol: float = 1e-9) -> GlobalMinReport:
+def verify_global_min(r: float, grid_n: int, tol: float) -> GlobalMinReport:
     """Check S_r(x) >= S_r(1/2) - tol on a uniform grid, plus sign and
     antisymmetry of the analytic derivative.
 
@@ -102,7 +102,7 @@ def verify_global_min(r: float, grid_n: int = 1024, tol: float = 1e-9) -> Global
             note=f"tol {tol:g} is below the floating-point rigor floor {RIGOR_FLOOR:g}",
         )
 
-    m_terms = select_m_terms(r, DEFAULT_CONFIG.target_tol, DEFAULT_CONFIG.max_terms)
+    m_terms = select_m_terms(r, DEFAULT_CONFIG.target_tol)
     poly = exactpoly.poly_route(r)
 
     center, spread_max = _consensus_value(r, 0.5, m_terms, poly)
@@ -260,7 +260,6 @@ class ProofChainWitness:
 
     r: float
     x: float
-    m_terms: int
     x_seq: tuple[float, ...]
     y_seq: tuple[float, ...]
     x0_tilde: float
@@ -275,27 +274,29 @@ class ProofChainWitness:
 #: Pointwise comparison slack in the chain checks.
 TAU = 1e-12
 
+#: Pairs m = 0..PROOF_CHAIN_M in the witness sequences; the omitted pair
+#: mass is below 2/(pi^2 PROOF_CHAIN_M), about 3.2e-3 (derivations section 7).
+PROOF_CHAIN_M = 64
+
 
 def _pair_sum(x: float, m: int) -> float:
     return backend.sinc_sq(x + m) + backend.sinc_sq(x - (m + 1.0))
 
 
-def proof_chain(r: float, x: float, m_terms: int = 64) -> ProofChainWitness:
+def proof_chain(r: float, x: float) -> ProofChainWitness:
     """Build the witness at (r, x) and check every chain inequality.
 
-    Full-sum identities are checked up to tail_tol = 2/(pi^2 M), the
-    integral-comparison bound on the omitted pair mass; pointwise
-    comparisons use tau = 1e-12.
+    Full-sum identities over pairs m = 0..M, M = PROOF_CHAIN_M, are checked
+    up to tail_tol = 2/(pi^2 M), the integral-comparison bound on the
+    omitted pair mass; pointwise comparisons use tau = 1e-12.
     """
     if r < 1.0:
         raise DomainError(f"the chain is asserted for r >= 1, got {r}")
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must lie in [0,1], got {x}")
-    if m_terms < 8:
-        raise DomainError(f"m_terms must be >= 8, got {m_terms}")
+    _check_x(x)
 
-    xs = tuple(_pair_sum(x, m) for m in range(m_terms + 1))
-    ys = tuple(_pair_sum(0.5, m) for m in range(m_terms + 1))
+    far = range(1, PROOF_CHAIN_M + 1)
+    xs = tuple(_pair_sum(x, m) for m in range(PROOF_CHAIN_M + 1))
+    ys = tuple(_pair_sum(0.5, m) for m in range(PROOF_CHAIN_M + 1))
 
     hx = backend.sinc_sq(x)
     hx1 = backend.sinc_sq(x - 1.0)
@@ -303,15 +304,15 @@ def proof_chain(r: float, x: float, m_terms: int = 64) -> ProofChainWitness:
     hh = backend.sinc_sq(0.5)
     y0t = (2.0 * hh**r) ** (1.0 / r)
 
-    tail_tol = 2.0 / (math.pi * math.pi * m_terms)
+    tail_tol = 2.0 / (math.pi * math.pi * PROOF_CHAIN_M)
 
     margins: dict[str, float] = {}
     margins["head_dominates"] = xs[0] - ys[0] + TAU
-    margins["far_terms_below"] = min(ys[m] - xs[m] for m in range(1, m_terms + 1)) + TAU
+    margins["far_terms_below"] = min(ys[m] - xs[m] for m in far) + TAU
 
     px = py = 0.0
     worst_partial = math.inf
-    for m in range(m_terms + 1):
+    for m in range(PROOF_CHAIN_M + 1):
         px += xs[m]
         py += ys[m]
         worst_partial = min(worst_partial, px - py)
@@ -324,21 +325,18 @@ def proof_chain(r: float, x: float, m_terms: int = 64) -> ProofChainWitness:
     pxt = x0t
     pyt = y0t
     worst_tilde_partial = pxt - pyt
-    for m in range(1, m_terms + 1):
+    for m in far:
         pxt += xs[m]
         pyt += ys[m]
         worst_tilde_partial = min(worst_tilde_partial, pxt - pyt)
     margins["tilde_partial_sums_dominate"] = worst_tilde_partial + TAU
 
     margins["threshold_below_tilde_head"] = y0t - THRESHOLD - TAU
-    margins["threshold_above_far_terms"] = (
-        min(THRESHOLD - ys[m] for m in range(1, m_terms + 1)) - TAU
-    )
+    margins["threshold_above_far_terms"] = min(THRESHOLD - ys[m] for m in far) - TAU
 
     return ProofChainWitness(
         r=r,
         x=x,
-        m_terms=m_terms,
         x_seq=xs,
         y_seq=ys,
         x0_tilde=x0t,

@@ -17,7 +17,7 @@ import math
 import time
 from dataclasses import astuple, dataclass
 
-from .certify import _check_max_depth, certify
+from .certify import certify
 from .corpus import corpus, quartic_coefficient_margin
 from .engine import (
     _check_grid,
@@ -65,14 +65,12 @@ class SuiteConfig:
     tol: float = 1e-10
     seed: int = 0
     trials: int = 100_000
-    max_depth: int = 40
 
     def __post_init__(self):
         # the checks' own rules, so a bad flag fails before any check runs
         _check_trials(self.trials)
         _check_grid(self.grid)
         _check_tol(self.tol)
-        _check_max_depth(self.max_depth)
 
 
 def _finite_or_none(v) -> float | None:
@@ -205,7 +203,7 @@ def _other_checks(cfg: SuiteConfig) -> list[CheckResult]:
 
     for entry in corpus():
         t0 = time.perf_counter()
-        out = certify(entry, max_depth=cfg.max_depth)
+        out = certify(entry)
         results.append(
             CheckResult(
                 check_id=f"corpus_{out.id}",

@@ -34,7 +34,7 @@ from sincsum.core import (
     TOL_FLOOR,
     EvalConfig,
     EvalPoint,
-    _tail_gauge,
+    _gauge_coeff,
     power_sum,
 )
 from sincsum.errors import DomainError, PrecisionError
@@ -142,7 +142,13 @@ def power_sum_fd_deriv(p: EvalPoint, step: float) -> float:
     return (hi - lo) / (2.0 * step)
 
 
-def select_m_terms_reference(r: float, target_tol: float, max_terms: int) -> int:
+def tail_gauge(s: float, m: int) -> float:
+    """The a-priori bound P(M) on the corrected tail error for half-width m
+    (``sincsum.core``'s docstring), which ``core.select_m_terms`` scans."""
+    return _gauge_coeff(s) * (m + 1.0) ** (-s - 7.0) + TOL_FLOOR
+
+
+def select_m_terms_reference(r: float, target_tol: float) -> int:
     """The truncation-order search as first written: invert the gauge's power
     law for a guess, then fix it up linearly in both directions.
     ``core.select_m_terms`` must return the same M, or raise the same
@@ -153,9 +159,9 @@ def select_m_terms_reference(r: float, target_tol: float, max_terms: int) -> int
         raise PrecisionError(
             f"target_tol {target_tol:g} is below the floating-point floor "
             f"{TOL_FLOOR:g}",
-            achieved_bound=_tail_gauge(s, max(max_terms, M_FLOOR)),
+            achieved_bound=TOL_FLOOR,
         )
-    if _tail_gauge(s, M_FLOOR) <= target_tol:
+    if tail_gauge(s, M_FLOOR) <= target_tol:
         return M_FLOOR
     poch = 1.0
     for i in range(7):
@@ -163,21 +169,10 @@ def select_m_terms_reference(r: float, target_tol: float, max_terms: int) -> int
     coeff = 4.0 * -_EM_COEF[3] * poch * math.exp(-s * math.log(math.pi))
     guess = int(math.exp(math.log(coeff / (target_tol - TOL_FLOOR)) / (s + 7.0))) + 1
     m = max(M_FLOOR, guess - 2)
-    while _tail_gauge(s, m) > target_tol:
+    while tail_gauge(s, m) > target_tol:
         m += 1
-        if m > max_terms:
-            raise PrecisionError(
-                f"tail bound cannot reach {target_tol:g} within max_terms="
-                f"{max_terms}",
-                achieved_bound=_tail_gauge(s, max_terms),
-            )
-    while m > M_FLOOR and _tail_gauge(s, m - 1) <= target_tol:
+    while m > M_FLOOR and tail_gauge(s, m - 1) <= target_tol:
         m -= 1
-    if m > max_terms:
-        raise PrecisionError(
-            f"tail bound cannot reach {target_tol:g} within max_terms={max_terms}",
-            achieved_bound=_tail_gauge(s, max_terms),
-        )
     return m
 
 
@@ -201,6 +196,8 @@ def zeta_em_reference(s: float, a: float) -> tuple[float, float]:
                     c = (t - acc) - y
                     acc = t
                 base = w ** (-s)
+                if base == 0.0:
+                    return acc, 0.0
                 total = acc + base * w / (s - 1.0) + 0.5 * base
                 w2 = w * w
                 g = base * s / w

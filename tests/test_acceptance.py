@@ -114,7 +114,7 @@ def test_criterion_05_inequality_corpus():
         entries = corpus()
         assert len(entries) >= 30
         for entry in entries:
-            out = certify(entry, max_depth=40)
+            out = certify(entry)
             assert out.status == "certified", (entry.id, out.status)
 
 
@@ -129,7 +129,7 @@ def test_criterion_07_proof_chain():
     with _Budget("criterion 7: proof chain inequalities", 10.0):
         for r in (1.0, 1.5, 2.0, 4.0):
             for i in range(1, 20):
-                w = proof_chain(r, 0.05 * i, 64)
+                w = proof_chain(r, 0.05 * i)
                 assert w.passed, (r, 0.05 * i, w.margins)
                 assert w.y0_tilde > w.threshold
                 assert all(v < w.threshold for v in w.y_seq[1:])

@@ -135,6 +135,26 @@ class TestDifferential:
         with pytest.raises(PrecisionError, match="exceeds floating-point range"):
             specfun.hurwitz_zeta(200.0, 1e-3)
         assert specfun.hurwitz_zeta(2.0, 1.0) == pytest.approx(math.pi**2 / 6.0, abs=1e-14)
+        # 9^-s underflows to 0 where the Euler-Maclaurin factors overflow;
+        # 0 * inf made the value nan and this a PrecisionError
+        assert specfun.hurwitz_zeta(1e200, 1.0) == 1.0
+
+    @pytest.mark.parametrize("twin", ["pure", "compiled"])
+    def test_every_route_finite_up_to_r_max(self, compiled, monkeypatch, twin):
+        from sincsum import EvalPoint, backend, evaluate, power_sum_deriv
+        from sincsum.core import R_MAX
+
+        kernels = pure if twin == "pure" else compiled
+        for name in ("power_sum_fixed", "power_sum_zeta", "power_sum_deriv", "zeta_em"):
+            monkeypatch.setattr(backend, name, getattr(kernels, name))
+        # the derivative was nan from r ~ 6.7e153 on
+        for r in (6.7e153, 1e200, 1e300, R_MAX):
+            for x in (0.0, 1e-300, 1e-9, 0.3, 0.5, 1.0 - 1e-16, 1.0):
+                res = evaluate(EvalPoint(r, x))
+                assert all(map(math.isfinite, res.methods.values())), (r, x, res)
+                assert math.isfinite(res.spread) and math.isfinite(res.tail_bound)
+                if 0.0 < x < 1.0:
+                    assert math.isfinite(power_sum_deriv(EvalPoint(r, x))), (r, x)
 
 
 @pytest.fixture(scope="session")

@@ -86,11 +86,6 @@ class TestViolated:
 
 
 class TestInconclusive:
-    def test_depth_starvation(self):
-        out = certify(_basic_lower(), max_depth=1)
-        assert out.status == "inconclusive"
-        assert out.diagnostics
-
     def test_without_derivative_boundary_zero_stalls(self):
         # same claim, no mean-value refinement: boundary equality points
         # leave width-scale slack that the minimum box width cannot close
@@ -116,12 +111,6 @@ class TestEngineContracts:
             b.boxes_visited,
         )
 
-    def test_max_depth_validation(self):
-        with pytest.raises(DomainError):
-            certify(_basic_lower(), max_depth=61)
-        with pytest.raises(DomainError):
-            certify(_basic_lower(), max_depth=0)
-
     def test_claim_validation(self):
         with pytest.raises(DomainError):
             CertifiedInequality(
@@ -132,24 +121,28 @@ class TestEngineContracts:
             )
 
     def test_enclosure_failures_become_inconclusive(self):
-        # an expression whose enclosure always fails cannot be decided
+        # an expression whose enclosure always fails cannot be decided; the
+        # minimum box width 1e-8 alone stops the bisection of a 6e-8-wide
+        # domain after three levels (widths 3e-8, 1.5e-8, 7.5e-9), so
+        # 1 + 2 + 4 + 8 boxes
         def broken(x):
             return x / Interval(-1.0, 1.0)
 
         out = certify(
             CertifiedInequality(
                 id="broken",
-                domain=Interval(0.0, 1.0),
+                domain=Interval(0.0, 6e-8),
                 expression=broken,
                 claim="nonnegative",
-            ),
-            max_depth=3,
+            )
         )
         assert out.status == "inconclusive"
+        assert out.boxes_visited == 15
+        assert out.diagnostics
 
 
 def test_full_corpus_certifies():
     for entry in corpus():
-        out = certify(entry, max_depth=40)
+        out = certify(entry)
         assert out.status == "certified", (entry.id, out.status, out.diagnostics)
         assert out.worst_margin >= -EPS_CERT

@@ -12,8 +12,6 @@ import pytest
 from helpers import run_cli
 from sincsum import DomainError, EvalConfig, cli, exact_min_constant
 from sincsum.specfun import BERNOULLI_CAP
-from sincsum.verify.certify import MAX_DEPTH_CAP, certify
-from sincsum.verify.corpus import corpus
 from sincsum.verify.engine import majorization_property, verify_global_min
 from sincsum.verify.suite import CheckResult, SuiteConfig
 
@@ -39,10 +37,20 @@ class TestEval:
         assert header == "r,x,value,method_spread"
         assert float(row.split(",")[2]) == pytest.approx(0.5427545144408352, abs=1e-11)
 
-    def test_max_terms_default_is_the_config_default(self):
+    def test_tol_default_is_the_config_default(self):
         args = cli.build_parser().parse_args(["eval", "--r", "2", "--x", "0.3"])
         defaults = {f.name: f.default for f in dataclasses.fields(EvalConfig)}
-        assert args.max_terms == defaults["max_terms"]
+        assert args.tol == defaults["target_tol"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "--r", "2", "--x", "0.3", "--max-terms", "9"], ["verify", "--max-depth", "40"]],
+    )
+    def test_retired_flags_are_rejected(self, argv):
+        # argparse exits 2 on an unknown flag
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
 
     def test_domain_error_exit(self):
         code, _, err = run_cli(["eval", "--r", "0.4", "--x", "0.5"])
@@ -54,6 +62,13 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["value"] == 0.0
         assert "Traceback" not in err
+
+    def test_r_above_r_max_exits_2(self):
+        # 2r overflows from r ~ 8.99e307 on; this printed "value": NaN
+        code, out, err = run_cli(["eval", "--r", "1e308", "--x", "0"])
+        assert code == cli.EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("error: r must be at most")
 
     def test_precision_error_exit(self):
         code, _, err = run_cli(["eval", "--r", "1", "--x", "0.3", "--tol", "1e-30"])
@@ -185,22 +200,13 @@ class TestVerify:
         [
             ("--trials", "0", lambda: majorization_property(0, 0)),
             ("--trials", "-5", lambda: majorization_property(-5, 0)),
-            ("--grid", "15", lambda: verify_global_min(1.0, grid_n=15)),
-            ("--tol", "0", lambda: verify_global_min(1.0, tol=0.0)),
-            ("--tol", "-1e-9", lambda: verify_global_min(1.0, tol=-1e-9)),
-            ("--tol", "nan", lambda: verify_global_min(1.0, tol=math.nan)),
-            ("--tol", "inf", lambda: verify_global_min(1.0, tol=math.inf)),
-            ("--max-depth", "0", lambda: certify(corpus()[0], max_depth=0)),
-            (
-                "--max-depth",
-                str(MAX_DEPTH_CAP + 1),
-                lambda: certify(corpus()[0], max_depth=MAX_DEPTH_CAP + 1),
-            ),
+            ("--grid", "15", lambda: verify_global_min(1.0, 15, 1e-10)),
+            ("--tol", "0", lambda: verify_global_min(1.0, 1024, 0.0)),
+            ("--tol", "-1e-9", lambda: verify_global_min(1.0, 1024, -1e-9)),
+            ("--tol", "nan", lambda: verify_global_min(1.0, 1024, math.nan)),
+            ("--tol", "inf", lambda: verify_global_min(1.0, 1024, math.inf)),
         ],
-        ids=[
-            "trials0", "trials-5", "grid15", "tol0", "tol-1e-9", "tolnan", "tolinf",
-            "depth0", "depth61",
-        ],
+        ids=["trials0", "trials-5", "grid15", "tol0", "tol-1e-9", "tolnan", "tolinf"],
     )
     def test_bad_flag_fails_before_any_check(self, monkeypatch, flag, value, library_error):
         with pytest.raises(DomainError) as expected:

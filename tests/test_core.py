@@ -11,12 +11,14 @@ from helpers import (
     power_sum_fd_deriv,
     power_sum_mp,
     select_m_terms_reference,
+    tail_gauge,
 )
 from sincsum import DomainError, EvalConfig, EvalPoint, PrecisionError, evaluate
 from sincsum import backend
 from sincsum.core import (
+    R_MAX,
+    R_MIN,
     TOL_FLOOR,
-    _tail_gauge,
     power_sum,
     select_m_terms,
     sinc,
@@ -80,11 +82,15 @@ class TestEvalTypes:
         with pytest.raises(DomainError):
             EvalPoint(math.nan, 0.5)
 
+    def test_r_max(self):
+        # above R_MAX, 2r * pi in the derivative's prefactor overflows
+        assert EvalPoint(R_MAX, 0.5).r == R_MAX
+        with pytest.raises(DomainError, match="r must be at most"):
+            EvalPoint(math.nextafter(R_MAX, math.inf), 0.5)
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             EvalConfig(target_tol=0.0)
-        with pytest.raises(DomainError):
-            EvalConfig(max_terms=0)
 
 
 class TestPowerSum:
@@ -152,7 +158,7 @@ class TestPowerSum:
         for _ in range(100):
             r = 0.6 + 5.0 * rng.random()
             x = rng.random()
-            m = select_m_terms(r, 1e-12, 10**6)
+            m = select_m_terms(r, 1e-12)
             v1, b1 = backend.power_sum_fixed(r, x, m)
             v2, _ = backend.power_sum_fixed(r, x, 2 * m)
             assert abs(v1 - v2) <= b1
@@ -163,7 +169,7 @@ class TestPowerSum:
         rs = [0.502 * (500.0 / 0.502) ** (i / 59) for i in range(60)]
         xs = [1e-3, 0.999] + [j / 32 for j in range(1, 32)]
         for r in rs:
-            gauge = _tail_gauge(2.0 * r, m) - TOL_FLOOR
+            gauge = tail_gauge(2.0 * r, m) - TOL_FLOOR
             for x in xs:
                 _, tail_bound = twin_kernels.power_sum_fixed(r, x, m)
                 assert tail_bound - twin_kernels.FLOAT_SLACK <= gauge, (r, x)
@@ -171,15 +177,8 @@ class TestPowerSum:
     def test_precision_unreachable(self):
         with pytest.raises(PrecisionError) as err:
             power_sum(EvalPoint(1.0, 0.3), EvalConfig(target_tol=1e-30))
-        assert err.value.achieved_bound >= TOL_FLOOR
-
-    def test_max_terms_cap(self):
-        # a tolerance requiring more terms than allowed must error with
-        # the achieved bound attached
-        with pytest.raises(PrecisionError) as err:
-            power_sum(EvalPoint(0.502, 0.3), EvalConfig(target_tol=2e-14, max_terms=9))
-        assert math.isfinite(err.value.achieved_bound)
-        assert err.value.achieved_bound > 2e-14
+        # the gauge's limit as M grows
+        assert err.value.achieved_bound == TOL_FLOOR
 
     @pytest.mark.parametrize("x, expected", [(0.0, 1.0), (0.3, 0.0), (0.5, 0.0), (1.0, 1.0)])
     def test_huge_r(self, x, expected):
@@ -190,43 +189,46 @@ class TestPowerSum:
         assert res.value == expected
         assert res.spread == 0.0
         assert res.tail_bound <= cfg.target_tol
-        assert select_m_terms(1e45, cfg.target_tol, cfg.max_terms) == 8
+        assert select_m_terms(1e45, cfg.target_tol) == 8
 
 
-def _m_or_error(select, r, tol, cap):
+def _m_or_error(select, r, tol):
     try:
-        return select(r, tol, cap)
+        return select(r, tol)
     except PrecisionError as exc:
         return (str(exc), exc.achieved_bound)
 
 
 class TestSelectMTerms:
     # r log-spaced on [0.5011, 1e50]; tolerances on both sides of the floor,
-    # including the next double above it, where M reaches the thousands;
-    # caps below, at and just above M_FLOOR
+    # including the next double above it, where M reaches the thousands
     RS = [0.5011 * (1e50 / 0.5011) ** (i / 299) for i in range(300)]
     TOLS = [
         5e-15, TOL_FLOOR, math.nextafter(TOL_FLOOR, 1.0), 1.5e-14, 2e-14, 1e-13,
         1e-12, 1e-10, 1e-8, 1e-5, 0.5,
     ]
-    CAPS = [1, 7, 8, 9, 10, 13, 16, 100, 10**6]
 
     def test_matches_reference_search(self):
         largest = 0
         for r in self.RS:
             for tol in self.TOLS:
-                for cap in self.CAPS:
-                    got = _m_or_error(select_m_terms, r, tol, cap)
-                    assert got == _m_or_error(select_m_terms_reference, r, tol, cap), (
-                        r, tol, cap,
-                    )
-                    if isinstance(got, int):
-                        largest = max(largest, got)
+                got = _m_or_error(select_m_terms, r, tol)
+                assert got == _m_or_error(select_m_terms_reference, r, tol), (r, tol)
+                if isinstance(got, int):
+                    largest = max(largest, got)
         assert largest > 2000  # the grid reaches deep into the upward scan
 
+    def test_terminates_without_a_cap(self):
+        # the scan has no term cap: at the tightest tolerance above the
+        # floor, M stays at or below 2,618 for every admissible r
+        tol = math.nextafter(TOL_FLOOR, 1.0)
+        lo = math.nextafter(R_MIN, math.inf)
+        rs = [lo * (R_MAX / lo) ** (i / 4000) for i in range(4000)] + [R_MAX]
+        assert max(select_m_terms(r, tol) for r in rs) <= 2618
+
     def test_at_1e_12(self):
-        assert select_m_terms(1.0, 1e-12, 10**6) == 13
-        assert select_m_terms(50.0, 1e-12, 10**6) == 8
+        assert select_m_terms(1.0, 1e-12) == 13
+        assert select_m_terms(50.0, 1e-12) == 8
 
 
 class TestFdDeriv:

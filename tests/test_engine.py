@@ -130,7 +130,7 @@ class TestMajorization:
 
 class TestProofChain:
     def test_generic_point(self):
-        w = proof_chain(2.0, 0.3, 64)
+        w = proof_chain(2.0, 0.3)
         assert w.passed, w.margins
         assert w.threshold == pytest.approx(4.0 / math.pi**2, abs=1e-16)
         assert len(w.x_seq) == 65
@@ -138,21 +138,21 @@ class TestProofChain:
         assert all(v < w.threshold for v in w.y_seq[1:])
 
     def test_at_the_minimizer_everything_is_tight(self):
-        w = proof_chain(2.0, 0.5, 64)
+        w = proof_chain(2.0, 0.5)
         assert w.passed
         for a, b in zip(w.x_seq, w.y_seq):
             assert a == pytest.approx(b, abs=1e-15)
         assert w.x0_tilde == pytest.approx(w.y0_tilde, abs=1e-15)
 
     def test_first_far_pair_value(self):
-        w = proof_chain(2.0, 0.5, 64)
+        w = proof_chain(2.0, 0.5)
         assert w.y_seq[1] == pytest.approx(8.0 / (9.0 * math.pi**2), abs=1e-15)
         assert w.y_seq[1] < THRESHOLD
 
     def test_full_cross_product(self):
         for r in (1.0, 1.5, 2.0, 4.0):
             for i in range(1, 20):
-                w = proof_chain(r, 0.05 * i, 64)
+                w = proof_chain(r, 0.05 * i)
                 assert w.passed, (r, 0.05 * i, w.margins)
 
     def test_validation(self):
@@ -160,5 +160,3 @@ class TestProofChain:
             proof_chain(0.8, 0.3)
         with pytest.raises(DomainError):
             proof_chain(2.0, 1.5)
-        with pytest.raises(DomainError):
-            proof_chain(2.0, 0.3, m_terms=4)

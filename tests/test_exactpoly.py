@@ -9,6 +9,7 @@ import sympy
 from helpers import poly_step_operator
 from sincsum import (
     CertificateError,
+    DomainError,
     EvalConfig,
     EvalPoint,
     SincPolynomial,
@@ -131,8 +132,11 @@ class TestEval:
                 )
 
     def test_domain(self):
-        with pytest.raises(CertificateError):
+        # the point rule and its error are core's, as for EvalPoint
+        with pytest.raises(DomainError, match=r"x must lie in \[0,1\], got 1.5"):
             poly_eval(poly_f(2), 1.5)
+        with pytest.raises(DomainError):
+            poly_eval(poly_f(2), math.nan)
 
 
 class TestPolyRoute:
