@@ -27,9 +27,9 @@ from .interval import EnclosureError, Interval, intersect
 #: Certification slack at and around equality points.
 EPS_CERT = 1e-13
 
-#: Boxes no wider than this are not bisected further.  This alone bounds
-#: the search: no box lies deeper than ceil(log2(width / _MIN_WIDTH)) levels
-#: below a domain of that width, 27 for a unit domain.
+#: Boxes no wider than this (27 levels below a unit domain), or whose
+#: midpoint rounds onto an endpoint (one ulp exceeds it from 2**26 on), are
+#: not bisected further; the two rules together bound every search.
 _MIN_WIDTH = 1e-8
 
 CLAIMS = ("nonnegative", "nonpositive")
@@ -112,7 +112,7 @@ def certify(ineq: CertifiedInequality) -> CertifiedInequality:
     boxes = 0
     worst = math.inf
     witness = None
-    undecided: list[str] = []
+    diagnostics: list[str] = []
 
     def point_breaks_claim(x: float) -> bool:
         enc = _try_eval(ineq.expression, Interval.point(x))
@@ -148,21 +148,21 @@ def certify(ineq: CertifiedInequality) -> CertifiedInequality:
                 witness = mid
                 break
 
-        if (hi - lo) <= _MIN_WIDTH:
-            mid = box.mid
+        mid = 0.5 * (lo + hi)
+        if (hi - lo) <= _MIN_WIDTH or not lo < mid < hi:
             if point_breaks_claim(mid):
                 witness = mid
                 break
-            undecided.append(f"box [{lo!r}, {hi!r}] at depth {depth} undecided")
+            if len(diagnostics) < 8:
+                diagnostics.append(f"box [{lo!r}, {hi!r}] at depth {depth} undecided")
             continue
 
-        mid = 0.5 * (lo + hi)
         stack.append((mid, hi, depth + 1))
         stack.append((lo, mid, depth + 1))
 
     if witness is not None:
         status = "violated"
-    elif undecided:
+    elif diagnostics:
         status = "inconclusive"
     else:
         status = "certified"
@@ -172,5 +172,5 @@ def certify(ineq: CertifiedInequality) -> CertifiedInequality:
         witness=witness,
         worst_margin=None if not math.isfinite(worst) else worst,
         boxes_visited=boxes,
-        diagnostics=tuple(undecided[:8]),
+        diagnostics=tuple(diagnostics),
     )

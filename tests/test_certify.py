@@ -120,25 +120,31 @@ class TestEngineContracts:
                 claim="positive",
             )
 
-    def test_enclosure_failures_become_inconclusive(self):
-        # an expression whose enclosure always fails cannot be decided; the
-        # minimum box width 1e-8 alone stops the bisection of a 6e-8-wide
-        # domain after three levels (widths 3e-8, 1.5e-8, 7.5e-9), so
-        # 1 + 2 + 4 + 8 boxes
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0.0, 6e-8), (2.0**26, 2.0**26 + 8 * math.ulp(2.0**26))],
+        ids=["min-width", "ulp-wide"],
+    )
+    def test_enclosure_failures_become_inconclusive(self, lo, hi):
+        # an expression whose enclosure always fails cannot be decided.  At
+        # 6e-8 wide, the minimum box width 1e-8 alone stops the bisection
+        # after three levels (widths 3e-8, 1.5e-8, 7.5e-9); at 2**26, where
+        # one ulp exceeds that width, eight ulps halve to one-ulp boxes whose
+        # midpoint rounds onto an endpoint.  Either way 1 + 2 + 4 + 8 boxes
         def broken(x):
             return x / Interval(-1.0, 1.0)
 
         out = certify(
             CertifiedInequality(
                 id="broken",
-                domain=Interval(0.0, 6e-8),
+                domain=Interval(lo, hi),
                 expression=broken,
                 claim="nonnegative",
             )
         )
         assert out.status == "inconclusive"
         assert out.boxes_visited == 15
-        assert out.diagnostics
+        assert len(out.diagnostics) == 8
 
 
 def test_full_corpus_certifies():
