@@ -11,8 +11,8 @@ import random
 from dataclasses import dataclass, field
 from itertools import repeat
 
-from .. import backend, exactpoly
-from ..core import DEFAULT_CONFIG, _check_x, select_m_terms
+from .. import backend
+from ..core import DEFAULT_CONFIG, R_MAX, _check_x, select_m_terms
 from ..errors import DomainError
 from .corpus import THRESHOLD
 
@@ -28,19 +28,10 @@ ANTISYM_TOL = 1e-9
 MIN_GRID_N = 16
 
 
-def _consensus_value(
-    r: float, x: float, m_terms: int, poly: exactpoly.SincPolynomial | None
-) -> tuple[float, float]:
-    """Direct + closed-form (+ polynomial) evaluation; returns (value, spread)."""
-    direct, _ = backend.power_sum_fixed(r, x, m_terms)
-    zeta = backend.power_sum_zeta(r, x)
-    vmin = min(direct, zeta)
-    vmax = max(direct, zeta)
-    if poly is not None:
-        exact = exactpoly.poly_eval(poly, x)
-        vmin = min(vmin, exact)
-        vmax = max(vmax, exact)
-    return direct, vmax - vmin
+def _check_r(r: float) -> None:
+    """The engine's one exponent rule: 1 <= r <= R_MAX (nan and inf fail it)."""
+    if not 1.0 <= r <= R_MAX:
+        raise DomainError(f"the minimum claim is checked for 1 <= r <= {R_MAX}, got {r}")
 
 
 def _check_grid(grid_n: int) -> None:
@@ -61,7 +52,11 @@ def _check_trials(trials: int) -> None:
 
 @dataclass(frozen=True)
 class GlobalMinReport:
-    """Outcome of the grid certification that S_r dips lowest at x = 1/2."""
+    """Outcome of the grid certification that S_r dips lowest at x = 1/2.
+
+    ``min_value`` and ``worst_margin`` come from the direct route alone; the
+    cross-route consensus is ``evaluate``'s, reported by ``sincsum eval``.
+    """
 
     r: float
     grid_n: int
@@ -72,7 +67,6 @@ class GlobalMinReport:
     worst_x: float | None
     deriv_worst: float
     antisym_worst: float
-    spread_max: float
     note: str = ""
 
 
@@ -80,11 +74,12 @@ def verify_global_min(r: float, grid_n: int, tol: float) -> GlobalMinReport:
     """Check S_r(x) >= S_r(1/2) - tol on a uniform grid, plus sign and
     antisymmetry of the analytic derivative.
 
-    The derivative must be <= tol left of 1/2 and >= -tol right of it,
-    and |S'(x) + S'(1-x)| stays below ANTISYM_TOL across the grid.
+    Values come from the direct route at the default tolerance's M, the
+    one route the verdict reads.  The derivative must be <= tol left of
+    1/2 and >= -tol right of it, and |S'(x) + S'(1-x)| stays below
+    ANTISYM_TOL across the grid.
     """
-    if r < 1.0:
-        raise DomainError(f"the minimum claim is asserted for r >= 1, got {r}")
+    _check_r(r)
     _check_grid(grid_n)
     _check_tol(tol)
     if tol < RIGOR_FLOOR:
@@ -98,22 +93,18 @@ def verify_global_min(r: float, grid_n: int, tol: float) -> GlobalMinReport:
             worst_x=None,
             deriv_worst=math.nan,
             antisym_worst=math.nan,
-            spread_max=math.nan,
             note=f"tol {tol:g} is below the floating-point rigor floor {RIGOR_FLOOR:g}",
         )
 
     m_terms = select_m_terms(r, DEFAULT_CONFIG.target_tol)
-    poly = exactpoly.poly_route(r)
-
-    center, spread_max = _consensus_value(r, 0.5, m_terms, poly)
+    center, _ = backend.power_sum_fixed(r, 0.5, m_terms)
 
     worst = math.inf
     worst_x = None
     step = grid_n - 1
     for i in range(grid_n):
         x = i / step
-        value, spread = _consensus_value(r, x, m_terms, poly)
-        spread_max = max(spread_max, spread)
+        value, _ = backend.power_sum_fixed(r, x, m_terms)
         margin = value - center
         if margin < worst:
             worst = margin
@@ -146,7 +137,6 @@ def verify_global_min(r: float, grid_n: int, tol: float) -> GlobalMinReport:
         worst_x=worst_x,
         deriv_worst=deriv_worst,
         antisym_worst=antisym_worst,
-        spread_max=spread_max,
     )
 
 
@@ -289,9 +279,13 @@ def proof_chain(r: float, x: float) -> ProofChainWitness:
     Full-sum identities over pairs m = 0..M, M = PROOF_CHAIN_M, are checked
     up to tail_tol = 2/(pi^2 M), the integral-comparison bound on the
     omitted pair mass; pointwise comparisons use tau = 1e-12.
+
+    The tilde heads are formed without underflow, so the witness passes for
+    every r up to about 2.8e11.  Beyond that, threshold_below_tilde_head
+    fails: its margin 4/pi^2 (2^(1/r) - 1) falls below tau near
+    r = 4 ln 2 / (pi^2 tau) (derivations section 7).
     """
-    if r < 1.0:
-        raise DomainError(f"the chain is asserted for r >= 1, got {r}")
+    _check_r(r)
     _check_x(x)
 
     far = range(1, PROOF_CHAIN_M + 1)
@@ -300,9 +294,11 @@ def proof_chain(r: float, x: float) -> ProofChainWitness:
 
     hx = backend.sinc_sq(x)
     hx1 = backend.sinc_sq(x - 1.0)
-    x0t = (hx**r + hx1**r) ** (1.0 / r)
+    # the r-power means, scaled by the larger head so that no power underflows
+    big, small = max(hx, hx1), min(hx, hx1)
+    x0t = big * (1.0 + (small / big) ** r) ** (1.0 / r)
     hh = backend.sinc_sq(0.5)
-    y0t = (2.0 * hh**r) ** (1.0 / r)
+    y0t = hh * 2.0 ** (1.0 / r)
 
     tail_tol = 2.0 / (math.pi * math.pi * PROOF_CHAIN_M)
 

@@ -8,13 +8,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import majorization_reference, power_sum_mp
-from sincsum import DomainError
+from sincsum import DomainError, EvalPoint, backend, exactpoly, power_sum
+from sincsum.core import R_MAX
 from sincsum.verify.engine import (
     THRESHOLD,
     majorization_property,
     proof_chain,
     verify_global_min,
 )
+from sincsum.verify.suite import GLOBAL_MIN_R, PROOF_CHAIN_X
+
+#: Exponents outside the engine's 1 <= r <= R_MAX.
+BAD_R = (math.nan, math.inf, math.nextafter(R_MAX, math.inf), 0.9)
 
 
 class TestGlobalMin:
@@ -40,9 +45,21 @@ class TestGlobalMin:
             float(power_sum_mp(1.5, 0.5)), abs=1e-12
         )
 
-    def test_spread_small(self):
-        rep = verify_global_min(3.0, grid_n=128, tol=1e-9)
-        assert rep.spread_max <= 1e-11
+    @pytest.mark.parametrize("r", GLOBAL_MIN_R)
+    def test_min_value_is_the_direct_route(self, r):
+        rep = verify_global_min(r, grid_n=1024, tol=1e-10)
+        assert rep.min_value == power_sum(EvalPoint(r, 0.5))[0]
+
+    @pytest.mark.parametrize("r", [2.0, 1.5])
+    def test_reads_only_the_direct_route(self, r, monkeypatch):
+        expected = verify_global_min(r, grid_n=256, tol=1e-9)
+
+        def refuse(*args):
+            raise AssertionError("the grid verdict reads only the direct route")
+
+        monkeypatch.setattr(backend, "power_sum_zeta", refuse)
+        monkeypatch.setattr(exactpoly, "poly_eval", refuse)
+        assert verify_global_min(r, grid_n=256, tol=1e-9) == expected
 
     def test_unreachable_tolerance_is_inconclusive(self):
         rep = verify_global_min(2.0, grid_n=64, tol=1e-30)
@@ -51,9 +68,15 @@ class TestGlobalMin:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            verify_global_min(0.9, grid_n=64, tol=1e-9)
-        with pytest.raises(DomainError):
             verify_global_min(2.0, grid_n=8, tol=1e-9)
+
+    @pytest.mark.parametrize("r", BAD_R)
+    def test_r_outside_the_claim(self, r):
+        with pytest.raises(DomainError):
+            verify_global_min(r, grid_n=64, tol=1e-9)
+
+    def test_largest_r_is_accepted(self):
+        assert verify_global_min(R_MAX, grid_n=16, tol=1e-9).r == R_MAX
 
 
 class TestMajorization:
@@ -155,8 +178,22 @@ class TestProofChain:
                 w = proof_chain(r, 0.05 * i)
                 assert w.passed, (r, 0.05 * i, w.margins)
 
+    @pytest.mark.parametrize("r", [1e3, 1e4, 1e6])
+    def test_large_r_heads_do_not_underflow(self, r):
+        for x in PROOF_CHAIN_X:
+            w = proof_chain(r, x)
+            assert w.passed, (r, x, w.margins)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             proof_chain(0.8, 0.3)
         with pytest.raises(DomainError):
             proof_chain(2.0, 1.5)
+
+    @pytest.mark.parametrize("r", BAD_R)
+    def test_r_outside_the_claim(self, r):
+        with pytest.raises(DomainError):
+            proof_chain(r, 0.3)
+
+    def test_largest_r_is_accepted(self):
+        assert proof_chain(R_MAX, 0.3).r == R_MAX

@@ -3,6 +3,7 @@
 import pytest
 
 from sincsum import EvalConfig, EvalPoint, evaluate, exactpoly, power_sum, power_sum_zeta
+from sincsum.verify.suite import GLOBAL_MIN_R, SuiteConfig
 
 RS = (0.502, 1.0, 2.5, 3.0, 100.0, 101.0, 1e45)
 XS = (0.0, 1e-20, 0.3, 0.5, 1.0 - 1e-16, 1.0)
@@ -34,6 +35,13 @@ class TestEvaluate:
         res = evaluate(EvalPoint(1.75, 0.4))
         assert set(res.methods) == {"direct", "hurwitz"}
         assert res.spread <= 1e-11
+
+    @pytest.mark.parametrize("r", GLOBAL_MIN_R)
+    def test_routes_agree_on_the_global_min_grid(self, r):
+        # the points of verify's default grid, plus the minimizer
+        n = SuiteConfig().grid
+        xs = [i / (n - 1) for i in range(n)] + [0.5]
+        assert max(evaluate(EvalPoint(r, x)).spread for x in xs) <= 1e-11
 
     def test_beyond_poly_cap(self):
         res = evaluate(EvalPoint(101.0, 0.5))
