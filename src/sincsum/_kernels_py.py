@@ -9,7 +9,8 @@ the loops need not match statement for statement.  Where a per-term Python
 loop would spend its time in interpreter dispatch, this twin feeds the same
 operations through chains of C-level ``map`` calls instead (see the
 ``power_sum_fixed`` paragraph below), and ``zeta_em``'s eight corrections
-are written out in line.
+and the eight leading terms of its usual first pass are written out in
+line.
 
 Definitions
 -----------
@@ -62,6 +63,12 @@ each tail equals that prefactor times a Hurwitz zeta value at argument
 M+1+-x, which ``zeta_em`` evaluates with a proven remainder gauge.  The
 reported ``tail_bound`` is prefactor * (left gauge + right gauge) plus a
 fixed 1e-14 floating-point slack covering rounding of the compensated sum.
+
+``power_sum_fixed`` and ``power_sum_zeta`` both need sin(pi*x) twice: in
+the m = 0 term |sinc(x)|^(2r) and in the prefactor.  Where ``sinc(x)``
+takes its plain branch (s > 0 and 1e-4 <= x < 1, so x is no integer and
+the head's exp cannot overflow), they compute t = pi*x and sin(t) once and
+take both from them; elsewhere the head comes from ``_abs_sinc_pow``.
 """
 
 import math
@@ -234,7 +241,39 @@ def zeta_em(s: float, a: float) -> tuple[float, float]:
             try:
                 w = n + a
                 acc = 0.0
-                if n:
+                if n == 8:
+                    # the loop below written out for the first pass's eight
+                    # terms: its first step leaves acc at the first term and
+                    # c at 0.0, so the second subtracts no compensation (a
+                    # nan first term makes the sum nan either way)
+                    acc = (7 + a) ** neg_s
+                    y = (6 + a) ** neg_s
+                    t = acc + y
+                    c = (t - acc) - y
+                    acc = t
+                    y = (5 + a) ** neg_s - c
+                    t = acc + y
+                    c = (t - acc) - y
+                    acc = t
+                    y = (4 + a) ** neg_s - c
+                    t = acc + y
+                    c = (t - acc) - y
+                    acc = t
+                    y = (3 + a) ** neg_s - c
+                    t = acc + y
+                    c = (t - acc) - y
+                    acc = t
+                    y = (2 + a) ** neg_s - c
+                    t = acc + y
+                    c = (t - acc) - y
+                    acc = t
+                    y = (1 + a) ** neg_s - c
+                    t = acc + y
+                    c = (t - acc) - y
+                    acc = t
+                    y = (0 + a) ** neg_s - c
+                    acc = acc + y
+                elif n:
                     c = 0.0
                     for k in range(n - 1, -1, -1):
                         term = (k + a) ** neg_s
@@ -332,14 +371,18 @@ def power_sum_fixed(r: float, x: float, m_terms: int) -> tuple[float, float]:
         t = acc + y
         c = (t - acc) - y
         acc = t
-    term = _abs_sinc_pow(x, s)
-    y = term - c
-    acc = acc + y
-
-    try:
-        sp = abs(math.sin(PI * x))
-    except ValueError:
-        sp = math.nan  # x = +-inf, where C's sin gives nan
+    if s > 0.0 and 1e-4 <= x < 1.0:
+        # sinc's plain branch at m = 0: its sin(pi*x), positive here, is
+        # the prefactor's too
+        t = PI * x
+        sp = math.sin(t)
+        acc = acc + (math.exp(s * math.log(abs(sp / t))) - c)
+    else:
+        acc = acc + (_abs_sinc_pow(x, s) - c)
+        try:
+            sp = abs(math.sin(PI * x))
+        except ValueError:
+            sp = math.nan  # x = +-inf, where C's sin gives nan
     if sp == 0.0:
         return acc, FLOAT_SLACK
     try:
@@ -366,8 +409,14 @@ def power_sum_zeta(r: float, x: float) -> float:
     if x <= 0.0 or x >= 1.0:
         return 1.0
     s = 2.0 * r
-    head = _abs_sinc_pow(x, s) + _abs_sinc_pow(x - 1.0, s)
-    sp = math.sin(PI * x)
+    if s > 0.0 and x >= 1e-4:
+        # sinc's plain branch at m = 0: its sin(pi*x) is the prefactor's too
+        t = PI * x
+        sp = math.sin(t)
+        head = math.exp(s * math.log(abs(sp / t))) + _abs_sinc_pow(x - 1.0, s)
+    else:
+        head = _abs_sinc_pow(x, s) + _abs_sinc_pow(x - 1.0, s)
+        sp = math.sin(PI * x)
     try:
         pref = math.exp(s * (math.log(sp) - LOG_PI))
     except OverflowError:

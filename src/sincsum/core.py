@@ -57,7 +57,7 @@ class EvalConfig:
     target_tol: float = 1e-12
 
     def __post_init__(self):
-        if not (self.target_tol > 0.0) or not math.isfinite(self.target_tol):
+        if not 0.0 < self.target_tol < math.inf:  # nan fails it too
             raise DomainError(f"target_tol must be positive, got {self.target_tol}")
 
 
@@ -76,6 +76,8 @@ class EvalPoint:
     x: float
 
     def __post_init__(self):
+        if R_MIN < self.r <= R_MAX and 0.0 <= self.x <= 1.0:
+            return  # a valid point: the checks below only pick the message
         if not math.isfinite(self.r) or not math.isfinite(self.x):
             raise DomainError(f"non-finite evaluation point ({self.r}, {self.x})")
         if self.r <= R_MIN:
@@ -111,9 +113,8 @@ def _gauge_coeff(s: float) -> float:
         # Pochhammer factor; from s ~ 1e44 on that factor overflows too,
         # and inf * 0 would turn the gauge into NaN.
         return 0.0
-    poch = 1.0
-    for i in range(7):
-        poch *= s + i
+    # s(s+1)...(s+6), multiplied in that order
+    poch = s * (s + 1) * (s + 2) * (s + 3) * (s + 4) * (s + 5) * (s + 6)
     # -_EM_COEF[3] = |B_8|/8!
     return 4.0 * -_EM_COEF[3] * poch * decay
 

@@ -26,9 +26,13 @@ class EvalResult:
 def evaluate(p: EvalPoint, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
     """Evaluate S_r(x) by every applicable route; ``value`` is the direct one."""
     value, tail_bound = power_sum(p, cfg)
-    methods = {"direct": value, "hurwitz": specfun.power_sum_zeta(p)}
+    hurwitz = specfun.power_sum_zeta(p)
     poly = exactpoly.poly_route(p.r)
-    if poly is not None:
-        methods["polynomial"] = exactpoly.poly_eval(poly, p.x)
-    spread = max(methods.values()) - min(methods.values())
-    return EvalResult(value=value, spread=spread, methods=methods, tail_bound=tail_bound)
+    if poly is None:
+        spread = max(value, hurwitz) - min(value, hurwitz)
+        methods = {"direct": value, "hurwitz": hurwitz}
+    else:
+        polynomial = exactpoly.poly_eval(poly, p.x)
+        spread = max(value, hurwitz, polynomial) - min(value, hurwitz, polynomial)
+        methods = {"direct": value, "hurwitz": hurwitz, "polynomial": polynomial}
+    return EvalResult(value, spread, methods, tail_bound)

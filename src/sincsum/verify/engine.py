@@ -77,7 +77,9 @@ def verify_global_min(r: float, grid_n: int, tol: float) -> GlobalMinReport:
     Values come from the direct route at the default tolerance's M, the
     one route the verdict reads.  The derivative must be <= tol left of
     1/2 and >= -tol right of it, and |S'(x) + S'(1-x)| stays below
-    ANTISYM_TOL across the grid.
+    ANTISYM_TOL across the grid.  From r of about 825 on, S_r(1/2) and
+    the grid values away from the ends underflow to 0.0, so every margin
+    would be exactly 0; the report is inconclusive there.
     """
     _check_r(r)
     _check_grid(grid_n)
@@ -98,6 +100,19 @@ def verify_global_min(r: float, grid_n: int, tol: float) -> GlobalMinReport:
 
     m_terms = select_m_terms(r, DEFAULT_CONFIG.target_tol)
     center, _ = backend.power_sum_fixed(r, 0.5, m_terms)
+    if center == 0.0:
+        return GlobalMinReport(
+            r=r,
+            grid_n=grid_n,
+            tol=tol,
+            status="inconclusive",
+            min_value=center,
+            worst_margin=math.nan,
+            worst_x=None,
+            deriv_worst=math.nan,
+            antisym_worst=math.nan,
+            note=f"S_r(1/2) underflows to 0.0 at r = {r:g}; the grid cannot resolve the minimum",
+        )
 
     worst = math.inf
     worst_x = None
@@ -222,7 +237,8 @@ def majorization_property(trials: int, seed: int) -> MajorizationReport:
         margin = gx - gy
         if margin < min_margin:
             min_margin = margin
-        if margin < -1e-9 * max(1.0, abs(gx), abs(gy)):
+        # the slack is negative, so only a negative margin can fall below it
+        if margin < 0.0 and margin < -1e-9 * max(1.0, abs(gx), abs(gy)):
             violations += 1
             if first_violation is None:
                 first_violation = (tuple(xs), tuple(ys), t, kind, margin)
@@ -264,6 +280,8 @@ class ProofChainWitness:
 #: Pointwise comparison slack in the chain checks.
 TAU = 1e-12
 
+_LN2 = math.log(2.0)
+
 #: Pairs m = 0..PROOF_CHAIN_M in the witness sequences; the omitted pair
 #: mass is below 2/(pi^2 PROOF_CHAIN_M), about 3.2e-3 (derivations section 7).
 PROOF_CHAIN_M = 64
@@ -280,10 +298,11 @@ def proof_chain(r: float, x: float) -> ProofChainWitness:
     up to tail_tol = 2/(pi^2 M), the integral-comparison bound on the
     omitted pair mass; pointwise comparisons use tau = 1e-12.
 
-    The tilde heads are formed without underflow, so the witness passes for
-    every r up to about 2.8e11.  Beyond that, threshold_below_tilde_head
-    fails: its margin 4/pi^2 (2^(1/r) - 1) falls below tau near
-    r = 4 ln 2 / (pi^2 tau) (derivations section 7).
+    The tilde heads are formed without underflow.  The gap between the
+    half-point tilde head and the threshold, 4/pi^2 (2^(1/r) - 1), shrinks
+    like 1/r, so threshold_below_tilde_head measures it with expm1 and
+    allows the slack tau relative to the head; the witness passes for
+    every r up to R_MAX (derivations section 7).
     """
     _check_r(r)
     _check_x(x)
@@ -327,7 +346,11 @@ def proof_chain(r: float, x: float) -> ProofChainWitness:
         worst_tilde_partial = min(worst_tilde_partial, pxt - pyt)
     margins["tilde_partial_sums_dominate"] = worst_tilde_partial + TAU
 
-    margins["threshold_below_tilde_head"] = y0t - THRESHOLD - TAU
+    # y0t - THRESHOLD = hh (2^(1/r) - 1) + (hh - THRESHOLD), formed without
+    # cancellation and given the pointwise slack relative to the head
+    margins["threshold_below_tilde_head"] = (
+        hh * math.expm1(_LN2 / r) + (hh - THRESHOLD) + TAU * hh
+    )
     margins["threshold_above_far_terms"] = min(THRESHOLD - ys[m] for m in far) - TAU
 
     return ProofChainWitness(

@@ -77,7 +77,8 @@ class TestDifferential:
     @pytest.mark.parametrize("r", [-2.0, 0.75, 1.0, 2.0, 7.5, 40.0, 1000.0, 1e45])
     @pytest.mark.parametrize(
         "x",
-        [0.0, 1e-300, 1e-20, 0.5, 1.0 - 1e-16, 1.0]
+        [0.0, 1e-300, 1e-20, math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e-4, 1.0)]
+        + [0.5, 1.0 - 1e-16, 1.0]
         # outside [0, 1], where Python's floor, sin, cos, log and exp raise
         # and C returns floats; no public route passes these
         + [-0.5, 1.5, math.inf, -math.inf, math.nan],
@@ -217,9 +218,12 @@ class TestSelection:
 # Points at and around the edges of the pure twin's columnar term source
 # (x >= 1e-9 and 1 - x >= 1e-4, s > 0): 1 - 1e-4 rounds to 0.9999, whose
 # x - 1 is within 1e-4 of 0, so the columnar source must not take it, while
-# its lower neighbour is the largest x it does take.
+# its lower neighbour is the largest x it does take.  Around 1e-4 the m = 0
+# head switches between sinc's Taylor branch and the plain branch whose
+# sin(pi*x) the prefactor shares.
 _up = math.nextafter
-GUARD_X = [0.0, 5e-324, 1e-12, _up(1e-9, 0.0), 1e-9, _up(1e-9, 1.0), 0.5]
+GUARD_X = [0.0, 5e-324, 1e-12, _up(1e-9, 0.0), 1e-9, _up(1e-9, 1.0)]
+GUARD_X += [_up(1e-4, 0.0), 1e-4, _up(1e-4, 1.0), 0.5]
 GUARD_X += [_up(1.0 - 1e-4, 0.0), 1.0 - 1e-4, _up(1.0 - 1e-4, 1.0), 1.0 - 1e-16, 1.0]
 GUARD_X += [-3.5, 7.25]
 GUARD_M = [0, 1, 8, 13, 64]

@@ -81,6 +81,10 @@ class TestEvalTypes:
             EvalPoint(2.0, 1.1)
         with pytest.raises(DomainError):
             EvalPoint(math.nan, 0.5)
+        with pytest.raises(DomainError, match="non-finite"):
+            EvalPoint(math.inf, 0.5)
+        with pytest.raises(DomainError, match="non-finite"):
+            EvalPoint(2.0, math.nan)
 
     def test_r_max(self):
         # above R_MAX, 2r * pi in the derivative's prefactor overflows

@@ -76,7 +76,12 @@ class TestGlobalMin:
             verify_global_min(r, grid_n=64, tol=1e-9)
 
     def test_largest_r_is_accepted(self):
-        assert verify_global_min(R_MAX, grid_n=16, tol=1e-9).r == R_MAX
+        rep = verify_global_min(R_MAX, grid_n=16, tol=1e-9)
+        assert rep.r == R_MAX
+        # S_r(1/2) underflows to 0.0, so the worst grid margin would be exactly 0
+        assert rep.min_value == 0.0
+        assert rep.status == "inconclusive"
+        assert "underflows" in rep.note
 
 
 class TestMajorization:
@@ -178,7 +183,8 @@ class TestProofChain:
                 w = proof_chain(r, 0.05 * i)
                 assert w.passed, (r, 0.05 * i, w.margins)
 
-    @pytest.mark.parametrize("r", [1e3, 1e4, 1e6])
+    # from about 2.8e11 on, the threshold gap 4/pi^2 (2^(1/r) - 1) is below tau
+    @pytest.mark.parametrize("r", [1e3, 1e4, 1e6, 1e12, R_MAX])
     def test_large_r_heads_do_not_underflow(self, r):
         for x in PROOF_CHAIN_X:
             w = proof_chain(r, x)
