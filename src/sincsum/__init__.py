@@ -40,6 +40,7 @@ from .specfun import (
     hurwitz_zeta,
     power_sum_deriv,
     power_sum_zeta,
+    tangent_numbers,
     zeta_even,
 )
 
@@ -75,6 +76,7 @@ __all__ = [
     "power_sum_zeta",
     "sinc",
     "sinc_sq",
+    "tangent_numbers",
     "transference_factor",
     "zeta_even",
     "__version__",

@@ -12,6 +12,9 @@ always at most the crude bound (pi/2)^d since the half-shifted lattice norm
 (pi/2)^d * exp(-(d/q) log(2(1-2^-q)zeta(q))), whose exponent is negative, so
 the reported factor never exceeds the reported crude bound.
 
+At even q = 2n the minimum is the rational T_n / (2n-1)!, with T_n the n-th
+tangent number (docs/derivations.md, section 8).
+
 Only these multiplicative factors are computed here; the operator norms they
 compare are Banach-space dependent and out of scope.  All q-power work is in
 log space so the formulas stay finite for q in the thousands.
@@ -25,7 +28,7 @@ from fractions import Fraction
 
 from ._kernels_py import LOG_PI
 from .errors import DomainError
-from .specfun import BERNOULLI_CAP, bernoulli, hurwitz_zeta
+from .specfun import BERNOULLI_CAP, _check_index, _tangent_table, hurwitz_zeta
 
 _LOG2 = math.log(2.0)
 
@@ -122,11 +125,14 @@ def min_constant(q: float) -> float:
 
 
 def exact_min_constant(n: int) -> Fraction:
-    """Exact rational value of min_constant(2n): (2^{2n}-1) 2^{2n} |B_{2n}| / (2n)!."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    b2n = bernoulli(2 * n)[2 * n]
-    return Fraction((2 ** (2 * n) - 1) * 2 ** (2 * n)) * abs(b2n) / math.factorial(2 * n)
+    """Exact rational value of min_constant(2n): T_n / (2n-1)!.
+
+    (2^{2n}-1) 2^{2n} |B_{2n}| / (2n)! simplifies to this with
+    B_{2n} = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)), so the tangent table is
+    indexed and no Bernoulli number is formed.
+    """
+    _check_index(n, "n", 1)
+    return Fraction(_tangent_table(n)[n - 1], math.factorial(2 * n - 1))
 
 
 def crude_bound(d: int) -> float:

@@ -16,7 +16,10 @@ as a three-term recurrence on those integers:
                  + 2(j+1)(2j+1) Q_r[j+1],    j = 0..r.
 
 The coefficients summing to 1 reads sum(Q_r) = (2r-1)! (derivation in
-docs/derivations.md, section 8).
+docs/derivations.md, section 8).  poly_f forms and caches P_r for every
+order it passes, each Fraction built after shifting out the power of two
+common to (2r-1)! and all of Q_r, so that its gcd is found on smaller
+integers; the values are the same.
 
 Nonnegativity of the coefficients is an exact certificate that the minimum
 of P_r over y in [0,1] sits at y = 0, i.e. the power sum minimum over x is
@@ -27,7 +30,8 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .core import _check_x
 from .errors import CertificateError, SizeLimitError
@@ -114,8 +118,13 @@ def poly_f(r: int) -> SincPolynomial:
                 k += 1
                 scale = math.factorial(2 * k - 1)
                 _check_invariants(k, q, scale)
+                # shift out the power of two common to scale and every q[j]:
+                # the values stay, each Fraction's gcd shrinks
+                low = reduce(or_, q, scale)
+                e = (low & -low).bit_length() - 1
+                scale >>= e
                 _poly_cache[k] = SincPolynomial(
-                    k, tuple(Fraction(v, scale) for v in q)
+                    k, tuple(Fraction(v >> e, scale) for v in q)
                 )
                 _poly_top = (k, q)
     return _poly_cache[r]

@@ -6,8 +6,10 @@ power sum and its analytic derivative) delegate to the backend's
 Euler-Maclaurin kernels.
 
 Conventions: Bernoulli numbers with B_1 = -1/2, the even ones computed from
-integer tangent numbers (Brent & Harvey, arXiv:1108.0286).  Even-argument
-zeta values come from zeta(2n) = (-1)^(n+1) B_{2n} (2 pi)^(2n) / (2 (2n)!).
+integer tangent numbers (Brent & Harvey, arXiv:1108.0286), whose one cached
+table also serves constants.exact_min_constant.  Even-argument zeta values
+come from zeta(2n) = (-1)^(n+1) B_{2n} (2 pi)^(2n) / (2 (2n)!).  Every
+exact-table index must be an int, or DomainError is raised.
 """
 
 import math
@@ -29,40 +31,71 @@ FACTORIAL_CAP = 2 * R_CAP + 1
 #: refused instead of exhausting memory.
 BERNOULLI_CAP = 2048
 
+_tangent_cache: tuple[int, ...] = ()
+_tangent_lock = threading.Lock()
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
 _bernoulli_lock = threading.Lock()
 
 
-def _tangent_numbers(m: int) -> list[int]:
-    """Tangent numbers T_1..T_m, tan x = sum_n T_n x^(2n-1)/(2n-1)!.
+def _check_index(n: int, name: str, least: int) -> None:
+    """The rule for every exact-table index: an int no less than ``least``."""
+    if not isinstance(n, int):
+        raise DomainError(f"{name} must be an integer, got {n!r}")
+    if n < least:
+        raise DomainError(f"{name} must be >= {least}, got {n}")
+
+
+def _check_bernoulli_cap(n_max: int) -> None:
+    if n_max > BERNOULLI_CAP:
+        raise SizeLimitError(f"Bernoulli index {n_max} exceeds cap {BERNOULLI_CAP}")
+
+
+def _tangent_table(m: int) -> tuple[int, ...]:
+    """The cached table T_1..T_M for some M >= m, itself and not a copy.
 
     Brent & Harvey's in-place integer recurrence (arXiv:1108.0286,
-    Algorithm TangentNumbers): O(m^2) integer operations, no division.
+    Algorithm TangentNumbers): O(m^2) integer operations, no division.  A
+    larger request rebuilds the table under a lock and publishes a new
+    tuple, so concurrent callers observe an immutable table.
     """
-    t = [0] * (m + 1)
-    if m >= 1:
-        t[1] = 1
-    for k in range(2, m + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, m + 1):
-        for j in range(k, m + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t[1:]
+    global _tangent_cache
+    table = _tangent_cache
+    if len(table) >= m:
+        return table
+    _check_bernoulli_cap(2 * m)
+    with _tangent_lock:
+        if len(_tangent_cache) < m:
+            t = [0] * (m + 1)
+            t[1] = 1
+            for k in range(2, m + 1):
+                t[k] = (k - 1) * t[k - 1]
+            for k in range(2, m + 1):
+                for j in range(k, m + 1):
+                    t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+            _tangent_cache = tuple(t[1:])
+        return _tangent_cache
+
+
+def tangent_numbers(m: int) -> tuple[int, ...]:
+    """Tangent numbers T_1..T_m, tan x = sum_n T_n x^(2n-1)/(2n-1)!.
+
+    T_n carries B_2n, so m shares its cap: at most BERNOULLI_CAP // 2.
+    """
+    _check_index(m, "m", 0)
+    return _tangent_table(m)[:m]
 
 
 def bernoulli(n_max: int) -> list[Fraction]:
     """Exact Bernoulli numbers B_0..B_{n_max} (convention B_1 = -1/2).
 
-    Even entries come from tangent numbers,
+    Even entries come from the tangent numbers,
     B_{2n} = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)); odd entries past B_1 are 0.
     A larger request rebuilds the table under a lock and entries are never
     mutated, so concurrent callers observe an immutable table.
     """
     global _bernoulli_cache
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
-    if n_max > BERNOULLI_CAP:
-        raise SizeLimitError(f"Bernoulli index {n_max} exceeds cap {BERNOULLI_CAP}")
+    _check_index(n_max, "n_max", 0)
+    _check_bernoulli_cap(n_max)
     if len(_bernoulli_cache) <= n_max:
         with _bernoulli_lock:
             if len(_bernoulli_cache) <= n_max:
@@ -70,7 +103,7 @@ def bernoulli(n_max: int) -> list[Fraction]:
                 table[0] = Fraction(1)
                 if n_max >= 1:
                     table[1] = Fraction(-1, 2)
-                for n, t in enumerate(_tangent_numbers(n_max // 2), start=1):
+                for n, t in enumerate(tangent_numbers(n_max // 2), start=1):
                     four_n = 4**n
                     table[2 * n] = Fraction(
                         (-1) ** (n - 1) * 2 * n * t, four_n * (four_n - 1)
@@ -90,8 +123,7 @@ class ZetaEvenValue:
 
 def zeta_even(n: int) -> ZetaEvenValue:
     """zeta(2n) = (-1)^(n+1) B_{2n} (2 pi)^(2n) / (2 (2n)!), exactly."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    _check_index(n, "n", 1)
     if 2 * n > FACTORIAL_CAP:
         raise SizeLimitError(f"2n = {2*n} exceeds exact factorial cap {FACTORIAL_CAP}")
     b2n = bernoulli(2 * n)[2 * n]

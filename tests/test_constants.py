@@ -13,6 +13,8 @@ from sincsum import (
     DomainError,
     EvalConfig,
     EvalPoint,
+    SizeLimitError,
+    bernoulli,
     crude_bound,
     exact_min_constant,
     lq_norm_halfshift,
@@ -49,6 +51,17 @@ class TestMinConstant:
         for n in range(1, 16):
             exact = exact_min_constant(n)
             assert float(exact) == pytest.approx(min_constant(2.0 * n), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 64, 100, 257, 512, 1024])
+    def test_exact_matches_bernoulli_formula(self, n):
+        # the earlier form (2^{2n} - 1) 2^{2n} |B_{2n}| / (2n)!, as an oracle
+        b = abs(bernoulli(2 * n)[2 * n])
+        expected = Fraction((2 ** (2 * n) - 1) * 2 ** (2 * n)) * b / math.factorial(2 * n)
+        assert exact_min_constant(n) == expected
+
+    def test_exact_above_cap(self):
+        with pytest.raises(SizeLimitError, match="Bernoulli index 2050 exceeds cap 2048"):
+            exact_min_constant(1025)
 
     def test_exact_equals_poly_constant_term(self):
         for n in range(1, 16):

@@ -25,10 +25,12 @@ from sincsum import (
     EvalPoint,
     SizeLimitError,
     bernoulli,
+    exact_min_constant,
     hurwitz_zeta,
     power_sum,
     power_sum_deriv,
     power_sum_zeta,
+    tangent_numbers,
     zeta_even,
 )
 
@@ -76,6 +78,45 @@ class TestBernoulli:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             bernoulli(-1)
+
+
+class TestTangentNumbers:
+    def test_small_values(self):
+        assert tangent_numbers(0) == ()
+        assert tangent_numbers(5) == (1, 2, 16, 272, 7936)
+
+    def test_against_taylor_series(self):
+        # tan x = sum_n T_n x^(2n-1) / (2n-1)!
+        x = sympy.Symbol("x")
+        series = sympy.series(sympy.tan(x), x, 0, 40).removeO()
+        expected = tuple(
+            int(series.coeff(x, 2 * n - 1) * sympy.factorial(2 * n - 1))
+            for n in range(1, 21)
+        )
+        assert tangent_numbers(20) == expected
+
+    def test_cache_growth(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_tangent_cache", ())
+        full = tangent_numbers(60)
+        monkeypatch.setattr(specfun, "_tangent_cache", ())
+        for m in (3, 60, 10):
+            assert tangent_numbers(m) == full[:m]
+
+    def test_cap(self):
+        cap = specfun.BERNOULLI_CAP // 2
+        assert len(tangent_numbers(cap)) == cap
+        with pytest.raises(SizeLimitError, match="Bernoulli index 2050 exceeds cap 2048"):
+            tangent_numbers(cap + 1)
+
+
+@pytest.mark.parametrize(
+    "fn", [bernoulli, tangent_numbers, zeta_even, exact_min_constant]
+)
+@pytest.mark.parametrize("index", [2.0, "2", None, -1])
+def test_exact_table_index_rule(fn, index):
+    # one rule for every exact-table index: an int, no less than the least
+    with pytest.raises(DomainError):
+        fn(index)
 
 
 class TestZetaEven:
