@@ -3,8 +3,9 @@
  * Same algorithms, same summation order, same Kahan steps and the same
  * guards: the same floating-point operations in the same order, though not
  * statement for statement.  The pure twin runs some loops as chains of map
- * calls (the lattice sum's central terms) or written out in line (the eight
- * Euler-Maclaurin corrections); the operations and their order are these.
+ * calls (the lattice sum's central terms) or written out in line (zeta_em's
+ * eight leading terms and eight corrections); the operations and their order
+ * are these.
  * Keep the two files in lockstep: tests/test_backends.py compares them for
  * exact equality.  Both call the platform libm (sin, cos, exp, log, pow), and
  * contraction into fused multiply-adds is switched off below, so every
@@ -86,45 +87,35 @@ dsinc_d(double x)
     return (cos(PI * x) - sinc_d(x)) / x;
 }
 
-/* Hurwitz zeta (value, gauge) by Euler-Maclaurin after n leading terms.
- * n starts at the smallest block with w = n + a >= 8 (0 when a >= 8, else
- * 8), where the gauge is at most 4.5e-16 for every s > 1, and doubles until
- * the gauge is below 1e-14 absolute or 1e-16 relative.  Where w^-s
- * underflows to 0 the leading sum is returned with gauge 0. */
+/* Hurwitz zeta (value, gauge) by one Euler-Maclaurin pass after n leading
+ * terms: n = 0 when a >= 8, else n = 8, so that w = n + a >= 8, where the
+ * gauge is below 4.6e-16 for every s > 1.  Where w^-s underflows to 0 the
+ * leading sum is returned with gauge 0. */
 static pair
 zeta_em_d(double s, double a)
 {
     int n = a >= 8.0 ? 0 : 8;
     int k, j;
-    double w, acc, c, term, y, t, base, total, w2, g, corr, gauge;
-    for (;;) {
-        w = n + a;
-        acc = 0.0;
-        c = 0.0;
-        for (k = n - 1; k >= 0; k--) {
-            term = pow(k + a, -s);
-            y = term - c;
-            t = acc + y;
-            c = (t - acc) - y;
-            acc = t;
-        }
-        base = pow(w, -s);
-        if (base == 0.0)
-            return (pair){acc, 0.0}; /* the factors below would overflow: 0 * inf */
-        total = acc + base * w / (s - 1.0) + 0.5 * base;
-        w2 = w * w;
-        g = base * s / w;
-        corr = 0.0;
-        for (j = 1; j <= 8; j++) {
-            corr += EM_COEF[j - 1] * g;
-            g *= (s + 2.0 * j - 1.0) * (s + 2.0 * j) / w2;
-        }
-        total += corr;
-        gauge = EM_NEXT * g;
-        if (gauge <= 1e-14 || gauge <= 1e-16 * fabs(total) || n >= 1 << 16)
-            return (pair){total, gauge};
-        n = n ? n * 2 : 8;
+    double w = n + a, acc = 0.0, c = 0.0, term, y, t, base, total, w2, g, corr;
+    for (k = n - 1; k >= 0; k--) {
+        term = pow(k + a, -s);
+        y = term - c;
+        t = acc + y;
+        c = (t - acc) - y;
+        acc = t;
     }
+    base = pow(w, -s);
+    if (base == 0.0)
+        return (pair){acc, 0.0}; /* the factors below would overflow: 0 * inf */
+    total = acc + base * w / (s - 1.0) + 0.5 * base;
+    w2 = w * w;
+    g = base * s / w;
+    corr = 0.0;
+    for (j = 1; j <= 8; j++) {
+        corr += EM_COEF[j - 1] * g;
+        g *= (s + 2.0 * j - 1.0) * (s + 2.0 * j) / w2;
+    }
+    return (pair){total + corr, EM_NEXT * g};
 }
 
 static double

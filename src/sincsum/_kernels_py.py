@@ -9,8 +9,7 @@ the loops need not match statement for statement.  Where a per-term Python
 loop would spend its time in interpreter dispatch, this twin feeds the same
 operations through chains of C-level ``map`` calls instead (see the
 ``power_sum_fixed`` paragraph below), and ``zeta_em``'s eight corrections
-and the eight leading terms of its usual first pass are written out in
-line.
+and its eight leading terms are written out in line.
 
 Definitions
 -----------
@@ -35,13 +34,13 @@ Error control
 
 where for real s > 1 the remainder R is bounded in absolute value by the
 first omitted correction term (the integrand t -> (t+a)^(-s) is completely
-monotone, so the correction series is enveloping).  N starts at the smallest
-block with w >= 8 (0 when a >= 8, else 8); there the gauge is at most
-4.5e-16 for every s > 1, so the first pass meets the acceptance test of
-1e-14 absolute or 1e-16 relative, and N doubles only outside that domain.
-The direct route's tails (a = M+1+-x >= 8) thus sum no leading term and
-the closed-form routes (a in (1, 2)) sum eight; docs/derivations.md
-section 1 has the gauge table and the accuracy contract.
+monotone, so the correction series is enveloping).  There is one pass, with
+the smallest block that puts w at 8 or more: N = 0 when a >= 8, else N = 8.
+There the gauge, which bounds the truncation error, is below 4.6e-16 for
+every s > 1, so no second pass is ever needed.  The direct route's tails
+(a = M+1+-x >= 8) thus sum no leading term and the closed-form routes
+(a in (1, 2)) sum eight; docs/derivations.md section 1 has the gauge table
+and the accuracy contract.
 
 ``power_sum_fixed`` sums the 2M+1 central terms directly, largest |m| first
 with Kahan compensation, then adds the two analytic tails.  The 2M terms
@@ -164,11 +163,14 @@ def _pow(x: float, y: float) -> float:
 
     On overflow, and for zero to a negative power, C returns an infinity
     whose sign is that of x when y is an odd integer and + otherwise; for a
-    negative x and a non-integer y it returns nan.
+    negative x and a non-integer y it returns nan, also where Python's
+    complex result would overflow.
     """
     try:
         v = x ** y
     except (OverflowError, ZeroDivisionError):
+        if x < 0.0 and y != math.floor(y):
+            return math.nan
         return math.copysign(math.inf, x) if y % 2.0 == 1.0 else math.inf
     return math.nan if v.__class__ is complex else v
 
@@ -183,14 +185,15 @@ def _div(x: float, y: float) -> float:
         return math.copysign(math.inf, x) * math.copysign(1.0, y)
 
 
-def _em_pass_c(s: float, a: float, n: int) -> tuple[float, float]:
-    """One ``zeta_em`` pass with n leading terms, in C's float semantics.
+def _em_pass_c(s: float, a: float) -> tuple[float, float]:
+    """``zeta_em`` in C's float semantics.
 
-    The same operations in the same order as the pass inside ``zeta_em``,
-    but every power and quotient goes through ``_pow``/``_div``: this is the
-    slow path for the inputs where Python's ``**`` or ``/`` would raise or
-    return a complex number while C returns an infinity or nan.
+    The same operations in the same order as ``zeta_em``, but every power
+    and quotient goes through ``_pow``/``_div``: this is the slow path for
+    the inputs where Python's ``**`` or ``/`` would raise or return a
+    complex number while C returns an infinity or nan.
     """
+    n = 0 if a >= 8.0 else 8
     w = n + a
     acc = 0.0
     c = 0.0
@@ -220,100 +223,83 @@ def zeta_em(s: float, a: float) -> tuple[float, float]:
 
     Returns ``(value, gauge)`` where ``gauge`` is the magnitude of the first
     omitted Euler-Maclaurin correction, an upper bound on the truncation
-    error for real s > 1.  N starts at the smallest leading block that puts
-    w = N + a at 8 or more (N = 0 when a >= 8, else N = 8), where the gauge
-    is at most 4.5e-16 for every s > 1, so the first pass is accepted; N
-    doubles until the gauge is below 1e-14 absolute or 1e-16 relative.  The
-    value is therefore accurate to 1e-14 absolute or 1e-16 relative: for
-    a >= 8 and s much larger than a only the absolute bound may hold.
-    Where w^(-s) underflows to 0, the leading sum is returned with gauge 0.
-    Outside s > 1, a > 0 (a leading term past the float range, a <= 0,
-    s = 1) the C twin's infinities and nans are returned.
+    error for real s > 1.  One pass: N = 0 leading terms when a >= 8, else
+    N = 8, so that w = N + a is at least 8, where the gauge is below
+    4.6e-16 for every s > 1.  Where w^(-s) underflows to 0, the leading sum
+    is returned with gauge 0.  Outside s > 1, a > 0 (a leading term past
+    the float range, a <= 0, s = 1) the C twin's infinities and nans are
+    returned, and the gauge bounds nothing.
     """
-    n = 0 if a >= 8.0 else 8
+    if a < 0.0:
+        # Python's ** gives complex numbers for a negative base
+        return _em_pass_c(s, a)
     neg_s = -s
     c1, c2, c3, c4, c5, c6, c7, c8 = _EM_COEF
-    while True:
-        if a < 0.0:
-            # Python's ** gives complex numbers for a negative base
-            total, gauge = _em_pass_c(s, a, n)
+    try:
+        if a >= 8.0:
+            w = a
+            acc = 0.0
         else:
-            try:
-                w = n + a
-                acc = 0.0
-                if n == 8:
-                    # the loop below written out for the first pass's eight
-                    # terms: its first step leaves acc at the first term and
-                    # c at 0.0, so the second subtracts no compensation (a
-                    # nan first term makes the sum nan either way)
-                    acc = (7 + a) ** neg_s
-                    y = (6 + a) ** neg_s
-                    t = acc + y
-                    c = (t - acc) - y
-                    acc = t
-                    y = (5 + a) ** neg_s - c
-                    t = acc + y
-                    c = (t - acc) - y
-                    acc = t
-                    y = (4 + a) ** neg_s - c
-                    t = acc + y
-                    c = (t - acc) - y
-                    acc = t
-                    y = (3 + a) ** neg_s - c
-                    t = acc + y
-                    c = (t - acc) - y
-                    acc = t
-                    y = (2 + a) ** neg_s - c
-                    t = acc + y
-                    c = (t - acc) - y
-                    acc = t
-                    y = (1 + a) ** neg_s - c
-                    t = acc + y
-                    c = (t - acc) - y
-                    acc = t
-                    y = (0 + a) ** neg_s - c
-                    acc = acc + y
-                elif n:
-                    c = 0.0
-                    for k in range(n - 1, -1, -1):
-                        term = (k + a) ** neg_s
-                        y = term - c
-                        t = acc + y
-                        c = (t - acc) - y
-                        acc = t
-                base = w ** neg_s
-                if base == 0.0:  # the factors below would overflow: 0 * inf
-                    return acc, 0.0
-                total = acc + base * w / (s - 1.0) + 0.5 * base
-                w2 = w * w
-                # _em_pass_c's correction loop written out: corr starts from
-                # 0.0, and before step j + 1 g is multiplied by
-                # ((s + 2j) - 1)(s + 2j)/w^2.
-                g = base * s / w
-                corr = 0.0 + c1 * g
-                g *= (s + 2.0 - 1.0) * (s + 2.0) / w2
-                corr += c2 * g
-                g *= (s + 4.0 - 1.0) * (s + 4.0) / w2
-                corr += c3 * g
-                g *= (s + 6.0 - 1.0) * (s + 6.0) / w2
-                corr += c4 * g
-                g *= (s + 8.0 - 1.0) * (s + 8.0) / w2
-                corr += c5 * g
-                g *= (s + 10.0 - 1.0) * (s + 10.0) / w2
-                corr += c6 * g
-                g *= (s + 12.0 - 1.0) * (s + 12.0) / w2
-                corr += c7 * g
-                g *= (s + 14.0 - 1.0) * (s + 14.0) / w2
-                corr += c8 * g
-                g *= (s + 16.0 - 1.0) * (s + 16.0) / w2
-                total += corr
-                gauge = _EM_NEXT * g
-            except (OverflowError, ZeroDivisionError):
-                # a leading term past the float range, a = 0 or s = 1
-                total, gauge = _em_pass_c(s, a, n)
-        if gauge <= 1e-14 or gauge <= 1e-16 * abs(total) or n >= 1 << 16:
-            return total, gauge
-        n = n * 2 if n else 8
+            # _em_pass_c's leading loop written out for its eight terms: its
+            # first step leaves acc at the first term and c at 0.0, so the
+            # second subtracts no compensation (a nan first term makes the
+            # sum nan either way)
+            w = 8 + a
+            acc = (7 + a) ** neg_s
+            y = (6 + a) ** neg_s
+            t = acc + y
+            c = (t - acc) - y
+            acc = t
+            y = (5 + a) ** neg_s - c
+            t = acc + y
+            c = (t - acc) - y
+            acc = t
+            y = (4 + a) ** neg_s - c
+            t = acc + y
+            c = (t - acc) - y
+            acc = t
+            y = (3 + a) ** neg_s - c
+            t = acc + y
+            c = (t - acc) - y
+            acc = t
+            y = (2 + a) ** neg_s - c
+            t = acc + y
+            c = (t - acc) - y
+            acc = t
+            y = (1 + a) ** neg_s - c
+            t = acc + y
+            c = (t - acc) - y
+            acc = t
+            y = (0 + a) ** neg_s - c
+            acc = acc + y
+        base = w ** neg_s
+        if base == 0.0:  # the factors below would overflow: 0 * inf
+            return acc, 0.0
+        total = acc + base * w / (s - 1.0) + 0.5 * base
+        w2 = w * w
+        # _em_pass_c's correction loop written out: corr starts from 0.0,
+        # and before step j + 1 g is multiplied by ((s + 2j) - 1)(s + 2j)/w^2.
+        g = base * s / w
+        corr = 0.0 + c1 * g
+        g *= (s + 2.0 - 1.0) * (s + 2.0) / w2
+        corr += c2 * g
+        g *= (s + 4.0 - 1.0) * (s + 4.0) / w2
+        corr += c3 * g
+        g *= (s + 6.0 - 1.0) * (s + 6.0) / w2
+        corr += c4 * g
+        g *= (s + 8.0 - 1.0) * (s + 8.0) / w2
+        corr += c5 * g
+        g *= (s + 10.0 - 1.0) * (s + 10.0) / w2
+        corr += c6 * g
+        g *= (s + 12.0 - 1.0) * (s + 12.0) / w2
+        corr += c7 * g
+        g *= (s + 14.0 - 1.0) * (s + 14.0) / w2
+        corr += c8 * g
+        g *= (s + 16.0 - 1.0) * (s + 16.0) / w2
+        return total + corr, _EM_NEXT * g
+    except (OverflowError, ZeroDivisionError):
+        # a leading term past the float range, a = 0 or s = 1
+        return _em_pass_c(s, a)
 
 
 def _central_offsets(m: int):

@@ -7,8 +7,8 @@ Euler-Maclaurin kernels.
 
 Conventions: Bernoulli numbers with B_1 = -1/2, the even ones computed from
 integer tangent numbers (Brent & Harvey, arXiv:1108.0286), whose one cached
-table also serves constants.exact_min_constant.  Even-argument zeta values
-come from zeta(2n) = (-1)^(n+1) B_{2n} (2 pi)^(2n) / (2 (2n)!).  Every
+table also serves zeta_even and constants.exact_min_constant.  Even-argument
+zeta values come from zeta(2n) = T_n pi^(2n) / (2 (4^n - 1) (2n-1)!).  Every
 exact-table index must be an int, or DomainError is raised.
 """
 
@@ -33,8 +33,6 @@ BERNOULLI_CAP = 2048
 
 _tangent_cache: tuple[int, ...] = ()
 _tangent_lock = threading.Lock()
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
-_bernoulli_lock = threading.Lock()
 
 
 def _check_index(n: int, name: str, least: int) -> None:
@@ -88,28 +86,19 @@ def tangent_numbers(m: int) -> tuple[int, ...]:
 def bernoulli(n_max: int) -> list[Fraction]:
     """Exact Bernoulli numbers B_0..B_{n_max} (convention B_1 = -1/2).
 
-    Even entries come from the tangent numbers,
+    Even entries come from the cached tangent numbers,
     B_{2n} = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)); odd entries past B_1 are 0.
-    A larger request rebuilds the table under a lock and entries are never
-    mutated, so concurrent callers observe an immutable table.
     """
-    global _bernoulli_cache
     _check_index(n_max, "n_max", 0)
     _check_bernoulli_cap(n_max)
-    if len(_bernoulli_cache) <= n_max:
-        with _bernoulli_lock:
-            if len(_bernoulli_cache) <= n_max:
-                table = [Fraction(0)] * (n_max + 1)
-                table[0] = Fraction(1)
-                if n_max >= 1:
-                    table[1] = Fraction(-1, 2)
-                for n, t in enumerate(tangent_numbers(n_max // 2), start=1):
-                    four_n = 4**n
-                    table[2 * n] = Fraction(
-                        (-1) ** (n - 1) * 2 * n * t, four_n * (four_n - 1)
-                    )
-                _bernoulli_cache = table
-    return _bernoulli_cache[: n_max + 1]
+    table = [Fraction(0)] * (n_max + 1)
+    table[0] = Fraction(1)
+    if n_max >= 1:
+        table[1] = Fraction(-1, 2)
+    for n, t in enumerate(tangent_numbers(n_max // 2), start=1):
+        four_n = 4**n
+        table[2 * n] = Fraction((-1) ** (n - 1) * 2 * n * t, four_n * (four_n - 1))
+    return table
 
 
 @dataclass(frozen=True)
@@ -122,12 +111,17 @@ class ZetaEvenValue:
 
 
 def zeta_even(n: int) -> ZetaEvenValue:
-    """zeta(2n) = (-1)^(n+1) B_{2n} (2 pi)^(2n) / (2 (2n)!), exactly."""
+    """zeta(2n) = T_n pi^(2n) / (2 (4^n - 1) (2n-1)!), exactly.
+
+    This is (-1)^(n+1) B_{2n} (2 pi)^(2n) / (2 (2n)!) with B_{2n} written
+    through the tangent number T_n (docs/derivations.md, section 8).
+    """
     _check_index(n, "n", 1)
     if 2 * n > FACTORIAL_CAP:
         raise SizeLimitError(f"2n = {2*n} exceeds exact factorial cap {FACTORIAL_CAP}")
-    b2n = bernoulli(2 * n)[2 * n]
-    rational = (-1) ** (n + 1) * b2n * Fraction(2 ** (2 * n), 2 * math.factorial(2 * n))
+    rational = Fraction(
+        _tangent_table(n)[n - 1], 2 * (4**n - 1) * math.factorial(2 * n - 1)
+    )
     value = float(rational) * math.pi ** (2 * n)
     return ZetaEvenValue(n=n, rational_part=rational, float_value=value)
 
@@ -136,7 +130,7 @@ def hurwitz_zeta(s: float, a: float) -> float:
     """sum_{k>=0} (k+a)^(-s) for s > 1 + 1e-9 and a in (0, 2]."""
     if not math.isfinite(s) or s <= 1.0 + 1e-9:
         raise DomainError(f"s must exceed 1 + 1e-9 (pole at 1), got {s}")
-    if not (0.0 < a <= 2.0) or not math.isfinite(a):
+    if not 0.0 < a <= 2.0:
         raise DomainError(f"a must lie in (0, 2], got {a}")
     value, gauge = backend.zeta_em(s, a)
     if not math.isfinite(value):
@@ -146,7 +140,8 @@ def hurwitz_zeta(s: float, a: float) -> float:
         )
     if gauge > 1e-12 * max(1.0, abs(value)):
         raise PrecisionError(
-            f"hurwitz_zeta({s}, {a}) could not certify 1e-13 accuracy",
+            f"hurwitz_zeta({s}, {a}) could not certify an error of at most "
+            f"1e-12 * max(1, |value|): gauge {gauge:g}",
             achieved_bound=gauge,
         )
     return value

@@ -177,43 +177,37 @@ def select_m_terms_reference(r: float, target_tol: float) -> int:
 
 
 def zeta_em_reference(s: float, a: float) -> tuple[float, float]:
-    """The pure twin's ``zeta_em`` as first written, with the eight
-    Euler-Maclaurin corrections in a loop.  Both kernel twins must return
-    the same floats, bit for bit, for every input."""
+    """The pure twin's ``zeta_em`` as first written, with its leading block
+    and its eight Euler-Maclaurin corrections in loops.  Both kernel twins
+    must return the same floats, bit for bit, for every input."""
+    if a < 0.0:
+        return _em_pass_c(s, a)
     n = 0 if a >= 8.0 else 8
-    while True:
-        if a < 0.0:
-            total, gauge = _em_pass_c(s, a, n)
-        else:
-            try:
-                w = n + a
-                acc = 0.0
-                c = 0.0
-                for k in range(n - 1, -1, -1):
-                    term = (k + a) ** (-s)
-                    y = term - c
-                    t = acc + y
-                    c = (t - acc) - y
-                    acc = t
-                base = w ** (-s)
-                if base == 0.0:
-                    return acc, 0.0
-                total = acc + base * w / (s - 1.0) + 0.5 * base
-                w2 = w * w
-                g = base * s / w
-                corr = 0.0
-                j = 1
-                for coef in _EM_COEF:
-                    corr += coef * g
-                    g *= (s + 2.0 * j - 1.0) * (s + 2.0 * j) / w2
-                    j += 1
-                total += corr
-                gauge = _EM_NEXT * g
-            except (OverflowError, ZeroDivisionError):
-                total, gauge = _em_pass_c(s, a, n)
-        if gauge <= 1e-14 or gauge <= 1e-16 * abs(total) or n >= 1 << 16:
-            return total, gauge
-        n = n * 2 if n else 8
+    try:
+        w = n + a
+        acc = 0.0
+        c = 0.0
+        for k in range(n - 1, -1, -1):
+            term = (k + a) ** (-s)
+            y = term - c
+            t = acc + y
+            c = (t - acc) - y
+            acc = t
+        base = w ** (-s)
+        if base == 0.0:
+            return acc, 0.0
+        total = acc + base * w / (s - 1.0) + 0.5 * base
+        w2 = w * w
+        g = base * s / w
+        corr = 0.0
+        j = 1
+        for coef in _EM_COEF:
+            corr += coef * g
+            g *= (s + 2.0 * j - 1.0) * (s + 2.0 * j) / w2
+            j += 1
+        return total + corr, _EM_NEXT * g
+    except (OverflowError, ZeroDivisionError):
+        return _em_pass_c(s, a)
 
 
 def power_sum_fixed_reference(r: float, x: float, m_terms: int) -> tuple[float, float]:

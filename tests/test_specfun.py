@@ -56,7 +56,7 @@ class TestBernoulli:
         assert bernoulli(n_max) == sympy_bernoulli(n_max)
 
     def test_cache_growth(self, monkeypatch):
-        monkeypatch.setattr(specfun, "_bernoulli_cache", [Fraction(1)])
+        monkeypatch.setattr(specfun, "_tangent_cache", ())
         for n_max in (3, 201, 10):
             assert bernoulli(n_max) == sympy_bernoulli(n_max)
 
@@ -142,6 +142,17 @@ class TestZetaEven:
                 hurwitz_zeta(2.0 * n, 1.0), abs=1e-13
             )
 
+    def test_matches_bernoulli_formula(self):
+        # the earlier form (-1)^(n+1) B_{2n} (2 pi)^(2n) / (2 (2n)!), as an oracle
+        table = bernoulli(specfun.FACTORIAL_CAP)
+        for n in range(1, specfun.FACTORIAL_CAP // 2 + 1):
+            rational = (-1) ** (n + 1) * table[2 * n] * Fraction(
+                2 ** (2 * n), 2 * math.factorial(2 * n)
+            )
+            zv = zeta_even(n)
+            assert zv.rational_part == rational, n
+            assert zv.float_value == float(rational) * math.pi ** (2 * n), n
+
 
 class TestHurwitzZeta:
     def test_reduces_to_zeta(self):
@@ -193,6 +204,14 @@ class TestHurwitzZeta:
             ref = float(mp.zeta(mp.mpf(s), mp.mpf(a)))
             assert abs(value - ref) <= gauge + 1e-13 * max(1.0, abs(ref)), (s, a)
 
+    def test_uncertified_gauge_message(self, monkeypatch):
+        from sincsum import PrecisionError, backend
+
+        monkeypatch.setattr(backend, "zeta_em", lambda s, a: (1.0, 1e-11))
+        with pytest.raises(PrecisionError, match=r"1e-12 \* max\(1, \|value\|\)") as info:
+            hurwitz_zeta(2.0, 1.0)
+        assert info.value.achieved_bound == 1e-11
+
     def test_pole_guard(self):
         with pytest.raises(DomainError):
             hurwitz_zeta(1.0, 1.0)
@@ -205,10 +224,10 @@ class TestHurwitzZeta:
 
 
 class TestZetaEmStart:
-    """zeta_em starts at w = N + a >= 8 (N = 0 when a >= 8, else N = 8).
+    """zeta_em runs one pass at w = N + a >= 8 (N = 0 when a >= 8, else N = 8).
 
     There the first omitted correction |B_18|/18! s(s+1)...(s+16) w^(-s-17)
-    is at most 4.5e-16 for every s > 1, so the first pass is accepted.
+    is below 4.6e-16 for every s > 1, so one pass suffices.
     """
 
     # s - 1 log-spaced over [1e-3, 999]
@@ -222,8 +241,7 @@ class TestZetaEmStart:
         for s in self.S:
             value, gauge = twin_kernels.zeta_em(s, a)
             first_pass = float(next_coef * mp.rf(s, 17) * mp.mpf(w) ** (-s - 17))
-            assert gauge <= 1e-14, (s, a)
-            # the returned gauge is the first pass's, so no doubling ran
+            assert gauge < 4.6e-16, (s, a)
             assert gauge == pytest.approx(first_pass, rel=1e-12, abs=1e-300), (s, a)
             ref = mp.zeta(mp.mpf(s), mp.mpf(a))
             if ref > mp.mpf(sys.float_info.max):
@@ -231,6 +249,32 @@ class TestZetaEmStart:
                 continue
             ulp = math.ulp(float(ref))
             assert abs(mp.mpf(value) - ref) <= gauge + 16.0 * ulp, (s, a)
+
+    def test_one_pass_everywhere(self, twin_kernels):
+        # outside s > 1, a > 0 too (negative s, a <= 0, where the gauge bounds
+        # nothing), the gauge returned is the one pass's at w = N + a
+        next_coef = abs(mp.bernoulli(18)) / mp.factorial(18)
+        checked = 0
+        for s in [-20.5, -15.7, -9.3, -3.0, -0.5, 0.0, 0.5, 0.999, 1.0] + self.S[::3]:
+            for a in [-9.5, -8.001, -7.999, -0.5, -1e-300, 0.0] + self.A + [1e6]:
+                w = a if a >= 8.0 else a + 8.0
+                base = mp.mpf(w) ** -s
+                if not isinstance(base, mp.mpf):
+                    continue  # a complex w^-s
+                _, gauge = twin_kernels.zeta_em(s, a)
+                if float(base) == 0.0:
+                    assert gauge == 0.0, (s, a)  # w^-s underflows: the leading sum alone
+                    continue
+                if abs(base) < sys.float_info.min:
+                    continue  # a subnormal w^-s, which carries fewer bits
+                first_pass = next_coef * mp.rf(s, 17) * mp.mpf(w) ** (-s - 17)
+                if abs(first_pass) > 1e300:
+                    continue  # past the float range, or close enough to overflow
+                assert gauge == pytest.approx(
+                    float(first_pass), rel=1e-12, abs=1e-300
+                ), (s, a)
+                checked += 1
+        assert checked > 200
 
 
 def hurwitz_zeta_da(s: float, a: float) -> float:
