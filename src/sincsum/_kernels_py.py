@@ -5,11 +5,11 @@ twin ``sincsum._kernels_c``, built from ``_kernels_c.c``); ``sincsum.backend``
 picks one at import time.  Everything here is a plain function of floats with
 no package dependencies.  The twin contract is the same floating-point
 operations in the same order, so both return the same floats bit for bit;
-the loops need not match statement for statement.  Where a per-term Python
-loop would spend its time in interpreter dispatch, this twin feeds the same
-operations through chains of C-level ``map`` calls instead (see the
-``power_sum_fixed`` paragraph below), and ``zeta_em``'s eight corrections
-and its eight leading terms are written out in line.
+the loops need not match statement for statement.  ``power_sum_fixed``'s
+central block is one plain loop with ``sinc``'s plain branch written in line
+where it applies (see the ``power_sum_fixed`` paragraph below), and
+``zeta_em``'s eight corrections and its eight leading terms are written out
+in line.
 
 Definitions
 -----------
@@ -44,18 +44,17 @@ and the accuracy contract.
 
 ``power_sum_fixed`` sums the 2M+1 central terms directly, largest |m| first
 with Kahan compensation, then adds the two analytic tails.  The 2M terms
-with m != 0 come from one of two sources feeding the same Kahan loop, which
-skips zero terms.  The columnar source runs each step of ``sinc``'s plain
-branch (x + m, pi*t, sin, quotient, abs, log, times s, exp) as one ``map``
-over the offsets m = M, -M, M-1, ..., 1, -1.  It is used only where the
-scalar ``sinc`` would take that plain branch for every offset and ``exp``
-cannot overflow: M < 2^20, s > 0, x >= 1e-9 and 1 - x >= 1e-4.  There no
+with m != 0 are summed in one loop over the offsets m = M, -M, M-1, ...,
+1, -1, which skips zero terms.  Each term is ``sinc``'s plain branch in
+line, t = pi*(x + m) and exp(s*log|sin(t)/t|), where the scalar ``sinc``
+would take that branch for every offset and ``exp`` cannot overflow:
+M < 2^20, s > 0, x >= 1e-9 and 1 - x >= 1e-4.  There no
 x + m rounds to an integer (1e-9 is more than half an ulp of any |m| <
 2^20, and x + m stays 1e-4 below the next integer), and |x + m| >= 1e-4,
 the Taylor branch's threshold.  1 - x is exact for x >= 1/2, so the last
 condition is |x - 1| >= 1e-4 exactly; x <= 1 - 1e-4 would not be, since
-0.9999 - 1 is -9.9999999999989e-05.  Elsewhere the terms come from
-``_abs_sinc_pow`` one offset at a time.
+0.9999 - 1 is -9.9999999999989e-05.  Elsewhere each term comes from
+``_abs_sinc_pow``.
 
 For m > M every term factors as (|sin(pi*x)|/pi)^(2r) * (m +- x)^(-2r), so
 each tail equals that prefactor times a Hurwitz zeta value at argument
@@ -71,8 +70,7 @@ take both from them; elsewhere the head comes from ``_abs_sinc_pow``.
 """
 
 import math
-from itertools import chain, repeat, tee
-from operator import add, mul, truediv
+from itertools import chain
 
 PI = math.pi
 LOG_PI = math.log(math.pi)
@@ -342,21 +340,20 @@ def power_sum_fixed(r: float, x: float, m_terms: int) -> tuple[float, float]:
         raise ValueError(f"m_terms must be >= 0, got {m_terms}")
     s = 2.0 * r
     offsets = _OFFSETS[m_terms] if m_terms <= _KEPT_M else _central_offsets(m_terms)
-    xs = map(add, repeat(x), offsets)
-    if m_terms < 1 << 20 and s > 0.0 and x >= 1e-9 and 1.0 - x >= 1e-4:
-        # sinc's plain branch for every offset, one operation per map
-        ts, ts_again = tee(map(mul, repeat(PI), xs))
-        quotients = map(truediv, map(math.sin, ts), ts_again)
-        powers = map(math.exp, map(mul, repeat(s), map(math.log, map(abs, quotients))))
-    else:
-        powers = map(_abs_sinc_pow, xs, repeat(s))
+    plain = m_terms < 1 << 20 and s > 0.0 and x >= 1e-9 and 1.0 - x >= 1e-4
     acc = 0.0
     c = 0.0
-    for term in filter(None, powers):  # the C twin's term != 0.0
-        y = term - c
-        t = acc + y
-        c = (t - acc) - y
-        acc = t
+    for o in offsets:
+        if plain:  # sinc's plain branch, in line
+            t = PI * (x + o)
+            term = math.exp(s * math.log(abs(math.sin(t) / t)))
+        else:
+            term = _abs_sinc_pow(x + o, s)
+        if term:  # the C twin's term != 0.0
+            y = term - c
+            t = acc + y
+            c = (t - acc) - y
+            acc = t
     if s > 0.0 and 1e-4 <= x < 1.0:
         # sinc's plain branch at m = 0: its sin(pi*x), positive here, is
         # the prefactor's too

@@ -45,7 +45,7 @@ class ConstantQuery:
 
     def __post_init__(self):
         _check_q(self.q)
-        _check_d(self.d)
+        _check_index(self.d, "d", 1)
 
 
 @dataclass(frozen=True)
@@ -97,12 +97,7 @@ def _log_zeta(q: float) -> float:
 
 def _check_q(q: float) -> None:
     if not math.isfinite(q) or q < 2.0:
-        raise DomainError(f"q must be >= 2, got {q}")
-
-
-def _check_d(d: int) -> None:
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
+        raise DomainError(f"q must be a finite number >= 2, got {q}")
 
 
 def _log_sums(q: float) -> tuple[float, float, float]:
@@ -133,7 +128,7 @@ def exact_min_constant(n: int) -> Fraction:
 
 def crude_bound(d: int) -> float:
     """(pi/2)^d, the dimension-d bound that needs no zeta evaluation."""
-    _check_d(d)
+    _check_index(d, "d", 1)
     if d > CRUDE_D_MAX:
         raise DomainError(
             f"d = {d} is too large: (pi/2)^d overflows a double above "

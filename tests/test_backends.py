@@ -218,12 +218,13 @@ class TestSelection:
         assert "unknown SINCSUM_BACKEND" in out.stderr
 
 
-# Points at and around the edges of the pure twin's columnar term source
-# (x >= 1e-9 and 1 - x >= 1e-4, s > 0): 1 - 1e-4 rounds to 0.9999, whose
-# x - 1 is within 1e-4 of 0, so the columnar source must not take it, while
-# its lower neighbour is the largest x it does take.  Around 1e-4 the m = 0
-# head switches between sinc's Taylor branch and the plain branch whose
-# sin(pi*x) the prefactor shares.
+# Points at and around the edges of the guard under which the pure twin's
+# central loop writes sinc's plain branch in line (x >= 1e-9 and
+# 1 - x >= 1e-4, s > 0): 1 - 1e-4 rounds to 0.9999, whose x - 1 is within
+# 1e-4 of 0, so the guard must not hold there, while its lower neighbour is
+# the largest x where it does.  Around 1e-4 the m = 0 head switches between
+# sinc's Taylor branch and the plain branch whose sin(pi*x) the prefactor
+# shares.
 _up = math.nextafter
 GUARD_X = [0.0, 5e-324, 1e-12, _up(1e-9, 0.0), 1e-9, _up(1e-9, 1.0)]
 GUARD_X += [_up(1e-4, 0.0), 1e-4, _up(1e-4, 1.0), 0.5]
@@ -235,8 +236,8 @@ GUARD_R = [-1e4, -2.0, 0.51, 1.0, 2.5, 1e4, 1e45]
 
 
 class TestReferenceLoops:
-    """Both twins against the scalar loops the pure twin's columnar central
-    block and unrolled Euler-Maclaurin corrections replaced."""
+    """Both twins against the scalar loops that the pure twin's in-line
+    central loop and unrolled Euler-Maclaurin corrections replaced."""
 
     @pytest.mark.parametrize("x", GUARD_X)
     def test_power_sum_fixed_at_the_guard(self, twin_kernels, x):

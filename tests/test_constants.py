@@ -171,8 +171,17 @@ class TestTransferenceFactor:
     def test_query_validation(self):
         with pytest.raises(DomainError):
             ConstantQuery(1.5, 1)
-        with pytest.raises(DomainError):
+        for q in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="q must be a finite number >= 2"):
+                ConstantQuery(q, 1)
+        with pytest.raises(DomainError, match="d must be >= 1, got 0"):
             ConstantQuery(4.0, 0)
+
+    def test_dimension_is_an_integer(self):
+        with pytest.raises(DomainError, match="d must be an integer, got 2.5"):
+            ConstantQuery(4.0, 2.5)
+        with pytest.raises(DomainError, match="d must be an integer, got 2.5"):
+            crude_bound(2.5)
 
 
 class TestCrudeBound:
