@@ -2,10 +2,10 @@
  *
  * Same algorithms, same summation order, same Kahan steps and the same
  * guards: the same floating-point operations in the same order, though not
- * statement for statement.  The pure twin runs some loops as chains of map
- * calls (the lattice sum's central terms) or written out in line (zeta_em's
- * eight leading terms and eight corrections); the operations and their order
- * are these.
+ * statement for statement.  The pure twin sums the lattice sum's central
+ * terms in one plain loop with sinc's plain branch written in line where it
+ * holds, and writes out zeta_em's eight leading terms and eight corrections
+ * in line; the operations and their order are these.
  * Keep the two files in lockstep: tests/test_backends.py compares them for
  * exact equality.  Both call the platform libm (sin, cos, exp, log, pow), and
  * contraction into fused multiply-adds is switched off below, so every

@@ -112,12 +112,12 @@ def cmd_constants(args) -> int:
     report = transference_factor(ConstantQuery(q=args.q, d=args.d))
     payload = report.to_json_dict()
     if args.format == "csv":
-        keys = ["q", "d", "c_q", "factor", "crude", "exact_c_q"]
+        # every field of the JSON, in to_json_dict order; None is an empty field
         row = [
-            _fmt(payload[k]) if isinstance(payload[k], float) else str(payload[k])
-            for k in keys
+            "" if v is None else _fmt(v) if isinstance(v, float) else str(v)
+            for v in payload.values()
         ]
-        text = ",".join(keys) + "\n" + ",".join(row) + "\n"
+        text = ",".join(payload) + "\n" + ",".join(row) + "\n"
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     return _emit(text, args.output)

@@ -108,7 +108,7 @@ _poly_lock = threading.Lock()
 def poly_f(r: int) -> SincPolynomial:
     """P_r by iterating the recursion from P_1 = 1, with all invariants checked."""
     global _poly_top
-    if not isinstance(r, int) or r < 1 or r > R_CAP:
+    if isinstance(r, bool) or not isinstance(r, int) or r < 1 or r > R_CAP:
         raise SizeLimitError(f"r must be an integer in [1, {R_CAP}], got {r!r}")
     if r not in _poly_cache:
         with _poly_lock:

@@ -1,123 +1,86 @@
-"""Machine-readable manifest tying the corpus registry to the repository.
+"""The corpus manifest: the registry rendered as a checked-in text file.
 
-The manifest is a flat tab-separated text file, one record per corpus
-entry: id, domain endpoints, claim direction, equality points, and a
-self-contained statement of the inequality.  ``manifest_check`` asserts a
-one-to-one correspondence with the registered corpus and that every listed
-equality point actually achieves |expression| <= 1e-12.
+``data/corpus_manifest.tsv`` is a flat tab-separated file with a header
+line and one line per corpus entry: id, domain endpoints, claim direction,
+equality points and a self-contained statement of the inequality.  Floats
+are written as ``repr``.  ``manifest_text`` renders the registry in this
+format, and ``manifest_check`` compares a manifest with that rendering as
+text and checks that every registered equality point achieves
+|expression| <= 1e-12.  The file is generated, so after a deliberate
+corpus change regenerate it from the repository root with
+
+    PYTHONPATH=src python -c "from sincsum.manifest import manifest_text; print(manifest_text(), end='')" > src/sincsum/data/corpus_manifest.tsv
 """
 
 import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import DomainError
+from .verify.certify import CertifiedInequality
 from .verify.corpus import corpus
 from .verify.interval import Interval
 
 #: Tolerance an equality point must meet when evaluated pointwise.
 EQUALITY_TOL = 1e-12
 
-
-@dataclass(frozen=True)
-class ManifestEntry:
-    id: str
-    domain_lo: float
-    domain_hi: float
-    claim: str
-    equality_points: tuple[float, ...]
-    statement: str
-
-
-@dataclass(frozen=True)
-class CorpusManifest:
-    entries: tuple[ManifestEntry, ...]
+_HEADER = "# id\tdomain_lo\tdomain_hi\tclaim\tequality_points\tstatement\n"
 
 
 @dataclass(frozen=True)
 class ManifestReport:
     passed: bool
-    orphans_in_manifest: tuple[str, ...]
-    orphans_in_corpus: tuple[str, ...]
-    mismatched: tuple[str, ...]
+    #: unified diff from the manifest to the registry's rendering; "" if equal
+    diff: str
     equality_worst: float
     equality_failures: tuple[str, ...]
 
 
-def parse_manifest(text: str) -> CorpusManifest:
-    entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip("\n")
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 6:
-            raise DomainError(f"manifest line {lineno}: expected 6 fields, got {len(parts)}")
-        eq = tuple(float(p) for p in parts[4].split(",")) if parts[4] else ()
-        entries.append(
-            ManifestEntry(
-                id=parts[0],
-                domain_lo=float(parts[1]),
-                domain_hi=float(parts[2]),
-                claim=parts[3],
-                equality_points=eq,
-                statement=parts[5],
+def _render(entries: list[CertifiedInequality]) -> str:
+    return _HEADER + "".join(
+        f"{e.id}\t{e.domain.lo!r}\t{e.domain.hi!r}\t{e.claim}\t"
+        f"{','.join(map(repr, e.equality_points))}\t{e.description}\n"
+        for e in entries
+    )
+
+
+def manifest_text() -> str:
+    """The registered corpus as the manifest file's text."""
+    return _render(corpus())
+
+
+def load_default_manifest() -> str:
+    """The manifest text checked into the package data."""
+    return resources.files("sincsum").joinpath("data/corpus_manifest.tsv").read_text()
+
+
+def manifest_check(text: str) -> ManifestReport:
+    """Compare a manifest's text with the registry's and check its equality points."""
+    entries = corpus()
+    expected = _render(entries)
+    diff = ""
+    if text != expected:
+        import difflib
+
+        diff = "".join(
+            difflib.unified_diff(
+                text.splitlines(keepends=True),
+                expected.splitlines(keepends=True),
+                "manifest",
+                "registry",
             )
         )
-    return CorpusManifest(entries=tuple(entries))
-
-
-def load_default_manifest() -> CorpusManifest:
-    """Load the manifest file checked into the package data."""
-    text = (
-        resources.files("sincsum").joinpath("data/corpus_manifest.tsv").read_text()
-    )
-    return parse_manifest(text)
-
-
-def manifest_check(manifest: CorpusManifest) -> ManifestReport:
-    """Cross-check the manifest against the registered corpus."""
-    registry = {e.id: e for e in corpus()}
-    seen = {}
-    orphans_in_manifest = []
-    mismatched = []
     equality_failures = []
     equality_worst = 0.0
-
-    for entry in manifest.entries:
-        if entry.id in seen:
-            mismatched.append(f"{entry.id}: duplicated in manifest")
-            continue
-        seen[entry.id] = entry
-        reg = registry.get(entry.id)
-        if reg is None:
-            orphans_in_manifest.append(entry.id)
-            continue
-        if (
-            reg.domain.lo != entry.domain_lo
-            or reg.domain.hi != entry.domain_hi
-            or reg.claim != entry.claim
-            or reg.equality_points != entry.equality_points
-            or reg.description != entry.statement
-        ):
-            mismatched.append(f"{entry.id}: fields differ from registry")
-            continue
-        for p in entry.equality_points:
-            enc = reg.expression(Interval.point(p))
+    for e in entries:
+        for p in e.equality_points:
+            enc = e.expression(Interval.point(p))
             gap = max(abs(enc.lo), abs(enc.hi))
             equality_worst = max(equality_worst, gap)
             if gap > EQUALITY_TOL or not math.isfinite(gap):
-                equality_failures.append(f"{entry.id} at x={p!r}: |expr| = {gap:.3e}")
-
-    orphans_in_corpus = sorted(set(registry) - set(seen))
-    passed = not (
-        orphans_in_manifest or orphans_in_corpus or mismatched or equality_failures
-    )
+                equality_failures.append(f"{e.id} at x={p!r}: |expr| = {gap:.3e}")
     return ManifestReport(
-        passed=passed,
-        orphans_in_manifest=tuple(sorted(orphans_in_manifest)),
-        orphans_in_corpus=tuple(orphans_in_corpus),
-        mismatched=tuple(mismatched),
+        passed=not (diff or equality_failures),
+        diff=diff,
         equality_worst=equality_worst,
         equality_failures=tuple(equality_failures),
     )

@@ -36,8 +36,8 @@ _tangent_lock = threading.Lock()
 
 
 def _check_index(n: int, name: str, least: int) -> None:
-    """The rule for every exact-table index: an int no less than ``least``."""
-    if not isinstance(n, int):
+    """The rule for every exact-table index: an int, not a bool, no less than ``least``."""
+    if isinstance(n, bool) or not isinstance(n, int):
         raise DomainError(f"{name} must be an integer, got {n!r}")
     if n < least:
         raise DomainError(f"{name} must be >= {least}, got {n}")

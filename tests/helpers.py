@@ -6,8 +6,8 @@ mpmath (a wholly separate implementation) for high-precision references.
 A few are second routes built on the package's kernels (the half-integer
 polygamma route, the finite-difference derivative) or earlier forms of its
 code (the truncation-order search, the scalar-loop kernels, the
-majorization check, the manifest writer, the transference formulas),
-against which the library is compared.
+majorization check, the transference formulas), against which the
+library is compared.
 """
 
 import io
@@ -38,8 +38,6 @@ from sincsum.core import (
     power_sum,
 )
 from sincsum.errors import DomainError, PrecisionError
-from sincsum.manifest import CorpusManifest, ManifestEntry
-from sincsum.verify.corpus import corpus
 from sincsum.verify.engine import MajorizationReport
 
 mp.mp.dps = 40
@@ -245,37 +243,6 @@ def power_sum_fixed_reference(r: float, x: float, m_terms: int) -> tuple[float, 
     value = acc + pref * (z_right + z_left)
     tail_bound = pref * (g_right + g_left) + FLOAT_SLACK
     return value, tail_bound
-
-
-_MANIFEST_HEADER = "# id\tdomain_lo\tdomain_hi\tclaim\tequality_points\tstatement"
-
-
-def default_manifest() -> CorpusManifest:
-    """Manifest derived from the in-code corpus registry."""
-    return CorpusManifest(
-        entries=tuple(
-            ManifestEntry(
-                id=e.id,
-                domain_lo=e.domain.lo,
-                domain_hi=e.domain.hi,
-                claim=e.claim,
-                equality_points=e.equality_points,
-                statement=e.description,
-            )
-            for e in corpus()
-        )
-    )
-
-
-def dump_manifest(manifest: CorpusManifest) -> str:
-    """The manifest as the tab-separated text ``parse_manifest`` reads."""
-    lines = [_MANIFEST_HEADER]
-    for e in manifest.entries:
-        pts = ",".join(repr(p) for p in e.equality_points)
-        lines.append(
-            f"{e.id}\t{e.domain_lo!r}\t{e.domain_hi!r}\t{e.claim}\t{pts}\t{e.statement}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def _deriv(c: list[Fraction]) -> list[Fraction]:

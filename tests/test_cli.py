@@ -129,6 +129,26 @@ class TestConstants:
         _, out, _ = run_cli(["constants", "--q", "3"])
         assert json.loads(out)["exact_c_q"] is None
 
+    @pytest.mark.parametrize(
+        "argv, row",
+        [
+            (
+                ["--q", "4", "--d", "2"],
+                "4,2,0.333333333333333,-1.09861228866811,1.73205080756888,2.46740110027234,1/3",
+            ),
+            (["--q", "2.5"], "2.5,1,0.714224117616125,-0.336558475677118,1.14410582182039,1.5707963267949,"),
+            # c_q underflows to 0 here; its finite log is the useful column
+            (["--q", "3000"], "3000,1,0,-1354.0549686878,1.57043343770405,1.5707963267949,"),
+        ],
+    )
+    def test_csv_has_the_json_fields(self, argv, row):
+        # every JSON field, in the report's order; floats to 15 digits, null empty
+        header = "q,d,c_q,log_c_q,factor,crude,exact_c_q"
+        code, out, err = run_cli(["constants", *argv, "--format", "csv"])
+        assert (code, err) == (0, "")
+        assert out == header + "\n" + row + "\n"
+        assert set(header.split(",")) == set(json.loads(run_cli(["constants", *argv])[1]))
+
     def test_domain(self):
         assert run_cli(["constants", "--q", "1.5"])[0] == 2
 

@@ -182,6 +182,11 @@ class TestTransferenceFactor:
             ConstantQuery(4.0, 2.5)
         with pytest.raises(DomainError, match="d must be an integer, got 2.5"):
             crude_bound(2.5)
+        for flag in (True, False):
+            with pytest.raises(DomainError, match=f"d must be an integer, got {flag}"):
+                ConstantQuery(4.0, flag)
+            with pytest.raises(DomainError, match=f"d must be an integer, got {flag}"):
+                crude_bound(flag)
 
 
 class TestCrudeBound:

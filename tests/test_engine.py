@@ -11,12 +11,13 @@ from helpers import majorization_reference, power_sum_mp
 from sincsum import DomainError, EvalPoint, backend, exactpoly, power_sum
 from sincsum.core import R_MAX
 from sincsum.verify.engine import (
+    ANTISYM_TOL,
     THRESHOLD,
     majorization_property,
     proof_chain,
     verify_global_min,
 )
-from sincsum.verify.suite import GLOBAL_MIN_R, PROOF_CHAIN_X
+from sincsum.verify.suite import GLOBAL_MIN_R, PROOF_CHAIN_X, SuiteConfig, run_suite
 
 #: Exponents outside the engine's 1 <= r <= R_MAX.
 BAD_R = (math.nan, math.inf, math.nextafter(R_MAX, math.inf), 0.9)
@@ -82,6 +83,57 @@ class TestGlobalMin:
         assert rep.min_value == 0.0
         assert rep.status == "inconclusive"
         assert "underflows" in rep.note
+
+
+class TestGlobalMinFailures:
+    """Each of the grid's three criteria fails it on its own."""
+
+    R = 2.0
+    TOL = 1e-10
+    X = 4 / 15  # a point of the 16-point grid left of 1/2; its mirror is 11/15
+
+    def _bend(self, monkeypatch, name, xs, change):
+        real = getattr(backend, name)
+
+        def bent(r, x, *rest):
+            out = real(r, x, *rest)
+            return change(out) if r == self.R and x in xs else out
+
+        monkeypatch.setattr(backend, name, bent)
+
+    def test_value_dip(self, monkeypatch):
+        self._bend(monkeypatch, "power_sum_fixed", (self.X,), lambda out: (0.0, out[1]))
+        rep = verify_global_min(self.R, grid_n=16, tol=self.TOL)
+        assert rep.status == "failed"
+        assert rep.worst_x == self.X
+        assert rep.worst_margin == pytest.approx(-1.0 / 3.0, abs=1e-12)
+        assert rep.deriv_worst <= self.TOL
+        assert rep.antisym_worst <= ANTISYM_TOL
+
+    def test_derivative_sign(self, monkeypatch):
+        # flipping both mirror points keeps the derivative antisymmetric
+        self._bend(monkeypatch, "power_sum_deriv", (self.X, 11 / 15), lambda d: -d)
+        rep = verify_global_min(self.R, grid_n=16, tol=self.TOL)
+        assert rep.status == "failed"
+        assert rep.deriv_worst > 2.0  # S_2'(4/15) is about -2.08
+        assert rep.worst_margin >= -self.TOL
+        assert rep.antisym_worst <= ANTISYM_TOL
+
+    def test_antisymmetry(self, monkeypatch):
+        # the derivative stays negative left of 1/2, but no longer mirrors
+        self._bend(monkeypatch, "power_sum_deriv", (self.X,), lambda d: d - 10 * ANTISYM_TOL)
+        rep = verify_global_min(self.R, grid_n=16, tol=self.TOL)
+        assert rep.status == "failed"
+        assert rep.antisym_worst > ANTISYM_TOL
+        assert rep.worst_margin >= -self.TOL
+        assert rep.deriv_worst <= self.TOL
+
+    def test_suite_check_fails_with_the_worst_x(self, monkeypatch):
+        self._bend(monkeypatch, "power_sum_fixed", (self.X,), lambda out: (0.0, out[1]))
+        checks = {c.check_id: c for c in run_suite(SuiteConfig(grid=16, trials=1))}
+        assert checks["globalmin_r2"].status == "failed"
+        assert checks["globalmin_r2"].witness == self.X
+        assert [k for k, c in checks.items() if c.status == "failed"] == ["globalmin_r2"]
 
 
 class TestMajorization:

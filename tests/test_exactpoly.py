@@ -79,6 +79,9 @@ class TestRecursion:
             poly_f(0)
         with pytest.raises(SizeLimitError):
             poly_f(2.0)  # non-integer input
+        for flag in (True, False):
+            with pytest.raises(SizeLimitError, match=f"got {flag}"):
+                poly_f(flag)
 
     def test_invariants_to_50(self):
         for r in range(1, 51):

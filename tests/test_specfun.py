@@ -112,9 +112,9 @@ class TestTangentNumbers:
 @pytest.mark.parametrize(
     "fn", [bernoulli, tangent_numbers, zeta_even, exact_min_constant]
 )
-@pytest.mark.parametrize("index", [2.0, "2", None, -1])
+@pytest.mark.parametrize("index", [2.0, "2", None, -1, True, False])
 def test_exact_table_index_rule(fn, index):
-    # one rule for every exact-table index: an int, no less than the least
+    # one rule for every exact-table index: an int, not a bool, no less than the least
     with pytest.raises(DomainError):
         fn(index)
 
