@@ -6,6 +6,12 @@
  * terms in one plain loop with sinc's plain branch written in line where it
  * holds, and writes out zeta_em's eight leading terms and eight corrections
  * in line; the operations and their order are these.
+ * power_sum_fixed, power_sum_zeta and power_sum_routes are built from the
+ * same pieces (central_sum, head_pref, em_factors, zeta_em_f, tails,
+ * closed_form).  power_sum_routes returns both routes bit for bit in one
+ * pass: the m = 0 term, the prefactor and the eight Euler-Maclaurin factors
+ * are computed once, and the closed form takes its m = -1 term from the
+ * central block's last term.
  * Keep the two files in lockstep: tests/test_backends.py compares them for
  * exact equality.  Both call the platform libm (sin, cos, exp, log, pow), and
  * contraction into fused multiply-adds is switched off below, so every
@@ -87,12 +93,24 @@ dsinc_d(double x)
     return (cos(PI * x) - sinc_d(x)) / x;
 }
 
+/* The eight factors (s + 2j - 1)(s + 2j), j = 1..8, by which each
+ * Euler-Maclaurin correction is carried to the next.  They depend on s
+ * alone, so a kernel that sums several Hurwitz zeta values at one s forms
+ * them once. */
+static void
+em_factors(double s, double f[8])
+{
+    int j;
+    for (j = 1; j <= 8; j++)
+        f[j - 1] = (s + 2.0 * j - 1.0) * (s + 2.0 * j);
+}
+
 /* Hurwitz zeta (value, gauge) by one Euler-Maclaurin pass after n leading
- * terms: n = 0 when a >= 8, else n = 8, so that w = n + a >= 8, where the
- * gauge is below 4.6e-16 for every s > 1.  Where w^-s underflows to 0 the
- * leading sum is returned with gauge 0. */
+ * terms, given f = em_factors(s): n = 0 when a >= 8, else n = 8, so that
+ * w = n + a >= 8, where the gauge is below 4.6e-16 for every s > 1.  Where
+ * w^-s underflows to 0 the leading sum is returned with gauge 0. */
 static pair
-zeta_em_d(double s, double a)
+zeta_em_f(double s, double a, const double f[8])
 {
     int n = a >= 8.0 ? 0 : 8;
     int k, j;
@@ -111,11 +129,19 @@ zeta_em_d(double s, double a)
     w2 = w * w;
     g = base * s / w;
     corr = 0.0;
-    for (j = 1; j <= 8; j++) {
-        corr += EM_COEF[j - 1] * g;
-        g *= (s + 2.0 * j - 1.0) * (s + 2.0 * j) / w2;
+    for (j = 0; j < 8; j++) {
+        corr += EM_COEF[j] * g;
+        g *= f[j] / w2;
     }
     return (pair){total + corr, EM_NEXT * g};
+}
+
+static pair
+zeta_em_d(double s, double a)
+{
+    double f[8];
+    em_factors(s, f);
+    return zeta_em_f(s, a, f);
 }
 
 static double
@@ -127,13 +153,13 @@ abs_sinc_pow(double x, double s)
     return exp(s * log(fabs(u)));
 }
 
-static pair
-power_sum_fixed_d(double r, double x, long m_terms)
+/* Kahan sum of the 2*m_terms central terms with m != 0, largest |m| first.
+ * *c gets the compensation and *last the last term, the m = -1 term
+ * |sinc(x - 1)|^s (0.0 when m_terms = 0). */
+static double
+central_sum(double s, double x, long m_terms, double *c, double *last)
 {
-    double s = 2.0 * r;
-    double acc = 0.0, c = 0.0;
-    double term, y, t, sp, pref, xm[2];
-    pair zr, zl;
+    double acc = 0.0, comp = 0.0, term = 0.0, y, t, xm[2];
     long k;
     int i;
     for (k = m_terms; k > 0; k--) {
@@ -142,44 +168,112 @@ power_sum_fixed_d(double r, double x, long m_terms)
         for (i = 0; i < 2; i++) {
             term = abs_sinc_pow(xm[i], s);
             if (term != 0.0) {
-                y = term - c;
+                y = term - comp;
                 t = acc + y;
-                c = (t - acc) - y;
+                comp = (t - acc) - y;
                 acc = t;
             }
         }
     }
-    term = abs_sinc_pow(x, s);
-    y = term - c;
-    acc = acc + y;
+    *c = comp;
+    *last = term;
+    return acc;
+}
 
-    sp = fabs(sin(PI * x));
-    if (sp == 0.0)
-        return (pair){acc, FLOAT_SLACK};
-    pref = exp(s * (log(sp) - LOG_PI));
-    if (pref == 0.0)
-        return (pair){acc, FLOAT_SLACK};
-    zr = zeta_em_d(s, m_terms + 1.0 + x);
-    zl = zeta_em_d(s, m_terms + 1.0 - x);
+/* The m = 0 term |sinc(x)|^s; *pref gets the prefactor (|sin(pi*x)|/pi)^s,
+ * 0.0 where sin(pi*x) is. */
+static double
+head_pref(double s, double x, double *pref)
+{
+    double sp = fabs(sin(PI * x));
+    *pref = sp == 0.0 ? 0.0 : exp(s * (log(sp) - LOG_PI));
+    return abs_sinc_pow(x, s);
+}
+
+/* power_sum_fixed's result from its central block's sum acc: the two
+ * analytic tails past m_terms added, and the tail bound. */
+static pair
+tails(double s, double x, long m_terms, double acc, double pref, const double f[8])
+{
+    pair zr = zeta_em_f(s, m_terms + 1.0 + x, f);
+    pair zl = zeta_em_f(s, m_terms + 1.0 - x, f);
     return (pair){acc + pref * (zr.value + zl.value),
                   pref * (zr.bound + zl.bound) + FLOAT_SLACK};
+}
+
+/* power_sum_zeta's result from its m = 0 and m = -1 terms head. */
+static double
+closed_form(double s, double x, double head, double pref, const double f[8])
+{
+    double z0, z1;
+    if (pref == 0.0)
+        return head;
+    z0 = zeta_em_f(s, 1.0 + x, f).value;
+    z1 = zeta_em_f(s, 2.0 - x, f).value;
+    return head + pref * (z0 + z1);
+}
+
+static pair
+power_sum_fixed_d(double r, double x, long m_terms)
+{
+    double s = 2.0 * r;
+    double c, last, pref, head, acc, f[8];
+    acc = central_sum(s, x, m_terms, &c, &last);
+    head = head_pref(s, x, &pref);
+    acc = acc + (head - c);
+    if (pref == 0.0)
+        return (pair){acc, FLOAT_SLACK};
+    em_factors(s, f);
+    return tails(s, x, m_terms, acc, pref, f);
 }
 
 static double
 power_sum_zeta_d(double r, double x)
 {
-    double s, head, sp, pref, z0, z1;
+    double s, head, pref, f[8];
     if (x <= 0.0 || x >= 1.0)
         return 1.0;
     s = 2.0 * r;
-    head = abs_sinc_pow(x, s) + abs_sinc_pow(x - 1.0, s);
-    sp = sin(PI * x);
-    pref = exp(s * (log(sp) - LOG_PI));
-    if (pref == 0.0)
-        return head;
-    z0 = zeta_em_d(s, 1.0 + x).value;
-    z1 = zeta_em_d(s, 2.0 - x).value;
-    return head + pref * (z0 + z1);
+    head = head_pref(s, x, &pref);
+    head = head + abs_sinc_pow(x - 1.0, s);
+    em_factors(s, f);
+    return closed_form(s, x, head, pref, f);
+}
+
+/* (power_sum_fixed, tail bound, power_sum_zeta) in one pass: the routes
+ * share the m = 0 term and the prefactor, the closed form's m = -1 term is
+ * the central block's last term (x + (-1.0) is exactly x - 1.0), and the
+ * four Hurwitz zeta sums share one set of factors.  Where x is not in
+ * (0, 1), so the closed form returns its endpoint value, or m_terms = 0,
+ * so there is no central block, each route runs on its own. */
+static void
+power_sum_routes_d(double r, double x, long m_terms, double out[3])
+{
+    double s = 2.0 * r;
+    double c, last, pref, head, acc, f[8];
+    pair p;
+    if (m_terms == 0 || !(x > 0.0 && x < 1.0)) {
+        p = power_sum_fixed_d(r, x, m_terms);
+        out[0] = p.value;
+        out[1] = p.bound;
+        out[2] = power_sum_zeta_d(r, x);
+        return;
+    }
+    acc = central_sum(s, x, m_terms, &c, &last);
+    head = head_pref(s, x, &pref);
+    acc = acc + (head - c);
+    head = head + last;
+    if (pref == 0.0) {
+        out[0] = acc;
+        out[1] = FLOAT_SLACK;
+        out[2] = head;
+        return;
+    }
+    em_factors(s, f);
+    p = tails(s, x, m_terms, acc, pref, f);
+    out[0] = p.value;
+    out[1] = p.bound;
+    out[2] = closed_form(s, x, head, pref, f);
 }
 
 /* d/dx u^s = s u^(s-1) u'; 0 where u vanishes, since s - 1 > 0. */
@@ -206,10 +300,13 @@ power_sum_deriv_d(double r, double x)
     double pref = exp(s * (lsp - LOG_PI));
     double d_pref = s * PI * cos(PI * x) * exp((s - 1.0) * lsp - s * LOG_PI);
 
-    double z0 = zeta_em_d(s, 1.0 + x).value;
-    double z1 = zeta_em_d(s, 2.0 - x).value;
-    double dz0 = zeta_em_d(s + 1.0, 1.0 + x).value;
-    double dz1 = zeta_em_d(s + 1.0, 2.0 - x).value;
+    double f[8], z0, z1, dz0, dz1;
+    em_factors(s, f);
+    z0 = zeta_em_f(s, 1.0 + x, f).value;
+    z1 = zeta_em_f(s, 2.0 - x, f).value;
+    em_factors(s + 1.0, f);
+    dz0 = zeta_em_f(s + 1.0, 1.0 + x, f).value;
+    dz1 = zeta_em_f(s + 1.0, 2.0 - x, f).value;
     return d_head + d_pref * (z0 + z1) + pref * s * (dz1 - dz0);
 }
 
@@ -235,15 +332,50 @@ float_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
     return 0;
 }
 
+/* (r, x, m_terms) with an int m_terms >= 0; 0 on success, -1 with an
+ * exception set otherwise. */
+static int
+routes_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
+            double *a, long *m_terms)
+{
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "%s() takes exactly 3 arguments (%zd given)",
+                     name, nargs);
+        return -1;
+    }
+    if (float_args(name, args, 2, 2, a) < 0)
+        return -1;
+    *m_terms = PyLong_AsLong(args[2]);
+    if (*m_terms == -1 && PyErr_Occurred())
+        return -1;
+    if (*m_terms < 0) {
+        PyErr_Format(PyExc_ValueError, "m_terms must be >= 0, got %ld", *m_terms);
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *
+float_tuple(Py_ssize_t n, const double *v)
+{
+    PyObject *t = PyTuple_New(n), *f;
+    Py_ssize_t i;
+    for (i = 0; t != NULL && i < n; i++) {
+        f = PyFloat_FromDouble(v[i]);
+        if (f == NULL) {
+            Py_DECREF(t);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(t, i, f);
+    }
+    return t;
+}
+
 static PyObject *
 pair_tuple(pair p)
 {
-    PyObject *v = PyFloat_FromDouble(p.value);
-    PyObject *b = v ? PyFloat_FromDouble(p.bound) : NULL;
-    PyObject *t = b ? PyTuple_Pack(2, v, b) : NULL;
-    Py_XDECREF(v);
-    Py_XDECREF(b);
-    return t;
+    double v[2] = {p.value, p.bound};
+    return float_tuple(2, v);
 }
 
 static PyObject *
@@ -294,21 +426,20 @@ py_power_sum_fixed(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     double a[2];
     long m_terms;
-    if (nargs != 3) {
-        PyErr_Format(PyExc_TypeError,
-                     "power_sum_fixed() takes exactly 3 arguments (%zd given)", nargs);
+    if (routes_args("power_sum_fixed", args, nargs, a, &m_terms) < 0)
         return NULL;
-    }
-    if (float_args("power_sum_fixed", args, 2, 2, a) < 0)
-        return NULL;
-    m_terms = PyLong_AsLong(args[2]);
-    if (m_terms == -1 && PyErr_Occurred())
-        return NULL;
-    if (m_terms < 0) {
-        PyErr_Format(PyExc_ValueError, "m_terms must be >= 0, got %ld", m_terms);
-        return NULL;
-    }
     return pair_tuple(power_sum_fixed_d(a[0], a[1], m_terms));
+}
+
+static PyObject *
+py_power_sum_routes(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    double a[2], out[3];
+    long m_terms;
+    if (routes_args("power_sum_routes", args, nargs, a, &m_terms) < 0)
+        return NULL;
+    power_sum_routes_d(a[0], a[1], m_terms, out);
+    return float_tuple(3, out);
 }
 
 static PyObject *
@@ -340,6 +471,7 @@ static PyMethodDef methods[] = {
     FASTCALL(zeta_em, "Hurwitz zeta (value, gauge) by Euler-Maclaurin."),
     FASTCALL(power_sum_fixed, "(value, tail_bound) from 2*m_terms+1 terms plus tails."),
     FASTCALL(power_sum_zeta, "Closed-form route: prefactor times Hurwitz zeta values."),
+    FASTCALL(power_sum_routes, "(*power_sum_fixed, power_sum_zeta) in one pass."),
     FASTCALL(power_sum_deriv, "d/dx of the power sum via the closed form, x in (0,1)."),
     {NULL, NULL, 0, NULL},
 };

@@ -9,7 +9,8 @@ the loops need not match statement for statement.  ``power_sum_fixed``'s
 central block is one plain loop with ``sinc``'s plain branch written in line
 where it applies (see the ``power_sum_fixed`` paragraph below), and
 ``zeta_em``'s eight corrections and its eight leading terms are written out
-in line.
+in line.  ``power_sum_routes`` runs both lattice-sum routes in one pass
+that computes their shared terms once (last paragraph below).
 
 Definitions
 -----------
@@ -62,11 +63,24 @@ M+1+-x, which ``zeta_em`` evaluates with a proven remainder gauge.  The
 reported ``tail_bound`` is prefactor * (left gauge + right gauge) plus a
 fixed 1e-14 floating-point slack covering rounding of the compensated sum.
 
-``power_sum_fixed`` and ``power_sum_zeta`` both need sin(pi*x) twice: in
-the m = 0 term |sinc(x)|^(2r) and in the prefactor.  Where ``sinc(x)``
-takes its plain branch (s > 0 and 1e-4 <= x < 1, so x is no integer and
-the head's exp cannot overflow), they compute t = pi*x and sin(t) once and
-take both from them; elsewhere the head comes from ``_abs_sinc_pow``.
+``power_sum_fixed`` and ``power_sum_zeta`` are built from the same pieces:
+``_central`` (the central block), ``_head_pref`` (the m = 0 term
+|sinc(x)|^(2r) and the prefactor), ``_em_factors`` (the eight
+Euler-Maclaurin factors, which depend on s alone), ``_zeta_em``, and
+``_tails`` and ``_closed_form``, which finish each route.  Both routes
+need sin(pi*x) twice, in the m = 0 term and in the prefactor; where
+``sinc(x)`` takes its plain branch (s > 0 and 1e-4 <= x < 1, so x is no
+integer and the head's exp cannot overflow), ``_head_pref`` computes
+t = pi*x and sin(t) once and takes both from them.
+
+``power_sum_routes(r, x, m_terms)`` returns
+``(*power_sum_fixed(r, x, m_terms), power_sum_zeta(r, x))`` bit for bit in
+one pass: the m = 0 term and the prefactor are computed once, the closed
+form's m = -1 term is the central block's last term (x + (-1.0) is exactly
+x - 1.0), and the four Hurwitz zeta sums, two tails and the closed form's
+pair, share one set of Euler-Maclaurin factors.  For x outside (0, 1),
+where the closed form returns its endpoint value, and for m_terms = 0,
+with no central block, it runs the two routes on their own.
 """
 
 import math
@@ -183,6 +197,27 @@ def _div(x: float, y: float) -> float:
         return math.copysign(math.inf, x) * math.copysign(1.0, y)
 
 
+def _em_factors(s: float) -> tuple[float, ...]:
+    """The eight factors (s + 2j - 1)(s + 2j), j = 1..8, by which each
+    Euler-Maclaurin correction is carried to the next.
+
+    They depend on s alone, so a kernel that sums several Hurwitz zeta
+    values at one s forms them once and hands them to ``_zeta_em``.
+    """
+    u1, u2, u3, u4 = s + 2.0, s + 4.0, s + 6.0, s + 8.0
+    u5, u6, u7, u8 = s + 10.0, s + 12.0, s + 14.0, s + 16.0
+    return (
+        (u1 - 1.0) * u1,
+        (u2 - 1.0) * u2,
+        (u3 - 1.0) * u3,
+        (u4 - 1.0) * u4,
+        (u5 - 1.0) * u5,
+        (u6 - 1.0) * u6,
+        (u7 - 1.0) * u7,
+        (u8 - 1.0) * u8,
+    )
+
+
 def _em_pass_c(s: float, a: float) -> tuple[float, float]:
     """``zeta_em`` in C's float semantics.
 
@@ -208,11 +243,9 @@ def _em_pass_c(s: float, a: float) -> tuple[float, float]:
     w2 = w * w
     g = _div(base * s, w)
     corr = 0.0
-    j = 1
-    for coef in _EM_COEF:
+    for coef, f in zip(_EM_COEF, _em_factors(s)):
         corr += coef * g
-        g *= _div((s + 2.0 * j - 1.0) * (s + 2.0 * j), w2)
-        j += 1
+        g *= _div(f, w2)
     return total + corr, _EM_NEXT * g
 
 
@@ -228,6 +261,11 @@ def zeta_em(s: float, a: float) -> tuple[float, float]:
     the float range, a <= 0, s = 1) the C twin's infinities and nans are
     returned, and the gauge bounds nothing.
     """
+    return _zeta_em(s, a, _em_factors(s))
+
+
+def _zeta_em(s: float, a: float, f: tuple[float, ...]) -> tuple[float, float]:
+    """``zeta_em(s, a)``, given its factors ``f = _em_factors(s)``."""
     if a < 0.0:
         # Python's ** gives complex numbers for a negative base
         return _em_pass_c(s, a)
@@ -242,33 +280,33 @@ def zeta_em(s: float, a: float) -> tuple[float, float]:
             # first step leaves acc at the first term and c at 0.0, so the
             # second subtracts no compensation (a nan first term makes the
             # sum nan either way)
-            w = 8 + a
-            acc = (7 + a) ** neg_s
-            y = (6 + a) ** neg_s
+            w = 8.0 + a
+            acc = (7.0 + a) ** neg_s
+            y = (6.0 + a) ** neg_s
             t = acc + y
             c = (t - acc) - y
             acc = t
-            y = (5 + a) ** neg_s - c
+            y = (5.0 + a) ** neg_s - c
             t = acc + y
             c = (t - acc) - y
             acc = t
-            y = (4 + a) ** neg_s - c
+            y = (4.0 + a) ** neg_s - c
             t = acc + y
             c = (t - acc) - y
             acc = t
-            y = (3 + a) ** neg_s - c
+            y = (3.0 + a) ** neg_s - c
             t = acc + y
             c = (t - acc) - y
             acc = t
-            y = (2 + a) ** neg_s - c
+            y = (2.0 + a) ** neg_s - c
             t = acc + y
             c = (t - acc) - y
             acc = t
-            y = (1 + a) ** neg_s - c
+            y = (1.0 + a) ** neg_s - c
             t = acc + y
             c = (t - acc) - y
             acc = t
-            y = (0 + a) ** neg_s - c
+            y = (0.0 + a) ** neg_s - c
             acc = acc + y
         base = w ** neg_s
         if base == 0.0:  # the factors below would overflow: 0 * inf
@@ -276,24 +314,25 @@ def zeta_em(s: float, a: float) -> tuple[float, float]:
         total = acc + base * w / (s - 1.0) + 0.5 * base
         w2 = w * w
         # _em_pass_c's correction loop written out: corr starts from 0.0,
-        # and before step j + 1 g is multiplied by ((s + 2j) - 1)(s + 2j)/w^2.
+        # and before step j + 1 g is multiplied by f[j - 1]/w^2.
+        f1, f2, f3, f4, f5, f6, f7, f8 = f
         g = base * s / w
         corr = 0.0 + c1 * g
-        g *= (s + 2.0 - 1.0) * (s + 2.0) / w2
+        g *= f1 / w2
         corr += c2 * g
-        g *= (s + 4.0 - 1.0) * (s + 4.0) / w2
+        g *= f2 / w2
         corr += c3 * g
-        g *= (s + 6.0 - 1.0) * (s + 6.0) / w2
+        g *= f3 / w2
         corr += c4 * g
-        g *= (s + 8.0 - 1.0) * (s + 8.0) / w2
+        g *= f4 / w2
         corr += c5 * g
-        g *= (s + 10.0 - 1.0) * (s + 10.0) / w2
+        g *= f5 / w2
         corr += c6 * g
-        g *= (s + 12.0 - 1.0) * (s + 12.0) / w2
+        g *= f6 / w2
         corr += c7 * g
-        g *= (s + 14.0 - 1.0) * (s + 14.0) / w2
+        g *= f7 / w2
         corr += c8 * g
-        g *= (s + 16.0 - 1.0) * (s + 16.0) / w2
+        g *= f8 / w2
         return total + corr, _EM_NEXT * g
     except (OverflowError, ZeroDivisionError):
         # a leading term past the float range, a = 0 or s = 1
@@ -329,6 +368,76 @@ def _abs_sinc_pow(x: float, s: float) -> float:
         return math.inf  # s < 0, where C's exp gives inf
 
 
+def _central(s: float, x: float, m_terms: int) -> tuple[float, float, float]:
+    """The 2*m_terms central terms with m != 0, Kahan-summed.
+
+    Returns ``(acc, c, term)``: the sum, its compensation and the last
+    term, which is the m = -1 term |sinc(x - 1)|^s (0.0 when m_terms = 0).
+    """
+    offsets = _OFFSETS[m_terms] if m_terms <= _KEPT_M else _central_offsets(m_terms)
+    plain = m_terms < 1 << 20 and s > 0.0 and x >= 1e-9 and 1.0 - x >= 1e-4
+    sin, log, exp = math.sin, math.log, math.exp
+    acc = 0.0
+    c = 0.0
+    term = 0.0
+    for o in offsets:
+        if plain:  # sinc's plain branch, in line
+            t = PI * (x + o)
+            term = exp(s * log(abs(sin(t) / t)))
+        else:
+            term = _abs_sinc_pow(x + o, s)
+        if term:  # the C twin's term != 0.0
+            y = term - c
+            t = acc + y
+            c = (t - acc) - y
+            acc = t
+    return acc, c, term
+
+
+def _head_pref(s: float, x: float) -> tuple[float, float]:
+    """The m = 0 term |sinc(x)|^s and the prefactor (|sin(pi*x)|/pi)^s.
+
+    Where ``sinc(x)`` takes its plain branch (s > 0 and 1e-4 <= x < 1, so
+    x is no integer and exp cannot overflow) both come from one sin(pi*x),
+    which is positive there.  The prefactor is 0.0 where sin(pi*x) is.
+    """
+    if s > 0.0 and 1e-4 <= x < 1.0:
+        t = PI * x
+        sp = math.sin(t)
+        head = math.exp(s * math.log(abs(sp / t)))
+    else:
+        head = _abs_sinc_pow(x, s)
+        try:
+            sp = abs(math.sin(PI * x))
+        except ValueError:
+            sp = math.nan  # x = +-inf, where C's sin gives nan
+        if sp == 0.0:
+            return head, 0.0
+    try:
+        return head, math.exp(s * (math.log(sp) - LOG_PI))
+    except OverflowError:
+        return head, math.inf  # s < 0
+
+
+def _tails(
+    s: float, x: float, m_terms: int, acc: float, pref: float, f: tuple[float, ...]
+) -> tuple[float, float]:
+    """``power_sum_fixed``'s result from its central block's sum ``acc``:
+    the two analytic tails past m_terms added, and the tail bound."""
+    z_right, g_right = _zeta_em(s, m_terms + 1.0 + x, f)
+    z_left, g_left = _zeta_em(s, m_terms + 1.0 - x, f)
+    return acc + pref * (z_right + z_left), pref * (g_right + g_left) + FLOAT_SLACK
+
+
+def _closed_form(s: float, x: float, head: float, pref: float, f: tuple[float, ...]) -> float:
+    """``power_sum_zeta``'s result from its m = 0 and m = -1 terms ``head``."""
+    if pref == 0.0:
+        return head
+    z0, _ = _zeta_em(s, 1.0 + x, f)
+    z1, _ = _zeta_em(s, 2.0 - x, f)
+    return head + pref * (z0 + z1)
+
+
 def power_sum_fixed(r: float, x: float, m_terms: int) -> tuple[float, float]:
     """Central block of 2*m_terms+1 sinc powers plus analytic tails.
 
@@ -339,46 +448,12 @@ def power_sum_fixed(r: float, x: float, m_terms: int) -> tuple[float, float]:
     if m_terms < 0:
         raise ValueError(f"m_terms must be >= 0, got {m_terms}")
     s = 2.0 * r
-    offsets = _OFFSETS[m_terms] if m_terms <= _KEPT_M else _central_offsets(m_terms)
-    plain = m_terms < 1 << 20 and s > 0.0 and x >= 1e-9 and 1.0 - x >= 1e-4
-    acc = 0.0
-    c = 0.0
-    for o in offsets:
-        if plain:  # sinc's plain branch, in line
-            t = PI * (x + o)
-            term = math.exp(s * math.log(abs(math.sin(t) / t)))
-        else:
-            term = _abs_sinc_pow(x + o, s)
-        if term:  # the C twin's term != 0.0
-            y = term - c
-            t = acc + y
-            c = (t - acc) - y
-            acc = t
-    if s > 0.0 and 1e-4 <= x < 1.0:
-        # sinc's plain branch at m = 0: its sin(pi*x), positive here, is
-        # the prefactor's too
-        t = PI * x
-        sp = math.sin(t)
-        acc = acc + (math.exp(s * math.log(abs(sp / t))) - c)
-    else:
-        acc = acc + (_abs_sinc_pow(x, s) - c)
-        try:
-            sp = abs(math.sin(PI * x))
-        except ValueError:
-            sp = math.nan  # x = +-inf, where C's sin gives nan
-    if sp == 0.0:
-        return acc, FLOAT_SLACK
-    try:
-        pref = math.exp(s * (math.log(sp) - LOG_PI))
-    except OverflowError:
-        pref = math.inf  # s < 0
+    acc, c, _ = _central(s, x, m_terms)
+    head, pref = _head_pref(s, x)
+    acc = acc + (head - c)
     if pref == 0.0:
         return acc, FLOAT_SLACK
-    z_right, g_right = zeta_em(s, m_terms + 1.0 + x)
-    z_left, g_left = zeta_em(s, m_terms + 1.0 - x)
-    value = acc + pref * (z_right + z_left)
-    tail_bound = pref * (g_right + g_left) + FLOAT_SLACK
-    return value, tail_bound
+    return _tails(s, x, m_terms, acc, pref, _em_factors(s))
 
 
 def power_sum_zeta(r: float, x: float) -> float:
@@ -392,23 +467,33 @@ def power_sum_zeta(r: float, x: float) -> float:
     if x <= 0.0 or x >= 1.0:
         return 1.0
     s = 2.0 * r
-    if s > 0.0 and x >= 1e-4:
-        # sinc's plain branch at m = 0: its sin(pi*x) is the prefactor's too
-        t = PI * x
-        sp = math.sin(t)
-        head = math.exp(s * math.log(abs(sp / t))) + _abs_sinc_pow(x - 1.0, s)
-    else:
-        head = _abs_sinc_pow(x, s) + _abs_sinc_pow(x - 1.0, s)
-        sp = math.sin(PI * x)
-    try:
-        pref = math.exp(s * (math.log(sp) - LOG_PI))
-    except OverflowError:
-        pref = math.inf  # s < 0
+    head, pref = _head_pref(s, x)
+    head = head + _abs_sinc_pow(x - 1.0, s)
+    return _closed_form(s, x, head, pref, _em_factors(s))
+
+
+def power_sum_routes(r: float, x: float, m_terms: int) -> tuple[float, float, float]:
+    """``(*power_sum_fixed(r, x, m_terms), power_sum_zeta(r, x))`` in one pass.
+
+    The routes share the m = 0 term and the prefactor; the closed form's
+    m = -1 term is the central block's last term (x + (-1.0) is exactly
+    x - 1.0); and the four Hurwitz zeta sums share one set of
+    Euler-Maclaurin factors.  Where x is not in (0, 1), so the closed form
+    returns its endpoint value, or m_terms <= 0, so there is no central
+    block, each route runs on its own.
+    """
+    if m_terms <= 0 or not 0.0 < x < 1.0:
+        return (*power_sum_fixed(r, x, m_terms), power_sum_zeta(r, x))
+    s = 2.0 * r
+    acc, c, last = _central(s, x, m_terms)
+    head, pref = _head_pref(s, x)
+    acc = acc + (head - c)
+    head = head + last
     if pref == 0.0:
-        return head
-    z0, _ = zeta_em(s, 1.0 + x)
-    z1, _ = zeta_em(s, 2.0 - x)
-    return head + pref * (z0 + z1)
+        return acc, FLOAT_SLACK, head
+    f = _em_factors(s)
+    value, tail_bound = _tails(s, x, m_terms, acc, pref, f)
+    return value, tail_bound, _closed_form(s, x, head, pref, f)
 
 
 def _head_deriv(u: float, du: float, s: float) -> float:
@@ -458,8 +543,10 @@ def power_sum_deriv(r: float, x: float) -> float:
     except OverflowError:
         d_pref = s * PI * cp * math.inf
 
-    z0, _ = zeta_em(s, 1.0 + x)
-    z1, _ = zeta_em(s, 2.0 - x)
-    dz0, _ = zeta_em(s + 1.0, 1.0 + x)
-    dz1, _ = zeta_em(s + 1.0, 2.0 - x)
+    f = _em_factors(s)
+    z0, _ = _zeta_em(s, 1.0 + x, f)
+    z1, _ = _zeta_em(s, 2.0 - x, f)
+    f = _em_factors(s + 1.0)
+    dz0, _ = _zeta_em(s + 1.0, 1.0 + x, f)
+    dz1, _ = _zeta_em(s + 1.0, 2.0 - x, f)
     return d_head + d_pref * (z0 + z1) + pref * s * (dz1 - dz0)

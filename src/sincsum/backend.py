@@ -31,4 +31,5 @@ dsinc = _impl.dsinc
 zeta_em = _impl.zeta_em
 power_sum_fixed = _impl.power_sum_fixed
 power_sum_zeta = _impl.power_sum_zeta
+power_sum_routes = _impl.power_sum_routes
 power_sum_deriv = _impl.power_sum_deriv

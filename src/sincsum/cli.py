@@ -32,6 +32,7 @@ from .core import EvalConfig, EvalPoint, power_sum
 from .errors import DomainError, PrecisionError, SizeLimitError
 from .evaluate import evaluate
 from .exactpoly import R_CAP, poly_min_certificate, poly_route
+from .verify.engine import check_grid_cap
 from .verify.suite import SuiteConfig, run_suite
 
 #: Exponents k of the figure curves r = 1.02^k.
@@ -148,6 +149,9 @@ def cmd_verify(args) -> int:
         "checks": [c.to_json_dict(include_timings=args.timings) for c in results],
     }
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    for c in results:
+        if c.detail:
+            sys.stderr.write(f"{c.check_id} {c.status}:\n{c.detail}")
     emit_code = _emit(text, args.output)
     return emit_code if emit_code != EXIT_OK else code
 
@@ -208,6 +212,7 @@ def _figure_svg(curves) -> str:
 def cmd_figure(args) -> int:
     if args.grid < 2:
         raise DomainError(f"figure grid must be >= 2, got {args.grid}")
+    check_grid_cap(args.grid)
     curves = _figure_rows(args.grid)
     if args.format == "svg":
         return _emit(_figure_svg(curves), args.output)

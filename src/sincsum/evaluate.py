@@ -4,15 +4,19 @@ Three routes exist: the direct tail-bounded lattice sum (any r > 1/2), the
 Hurwitz zeta closed form (any r > 1/2), and exact-polynomial evaluation
 (integer r up to 100).  ``evaluate`` runs every applicable route, reports
 the direct value with its tail bound, and reports the maximum pairwise gap,
-which serves as a cheap smoke alarm for implementation disagreement.  A
+which serves as a cheap smoke alarm for implementation disagreement.  The
+direct and closed-form routes run in one kernel pass,
+``backend.power_sum_routes``, which computes their shared terms once: the
+m = 0 term, the prefactor (|sin(pi x)|/pi)^(2r), the m = -1 term and the
+Euler-Maclaurin factors; it returns both routes' floats bit for bit.  A
 caller who wants a single route calls it directly: ``core.power_sum``,
 ``specfun.power_sum_zeta`` or ``exactpoly.poly_eval(poly_f(r), x)``.
 """
 
 from dataclasses import dataclass
 
-from . import exactpoly, specfun
-from .core import DEFAULT_CONFIG, EvalConfig, EvalPoint, power_sum
+from . import backend, core, exactpoly
+from .core import DEFAULT_CONFIG, EvalConfig, EvalPoint
 
 
 @dataclass(frozen=True)
@@ -24,9 +28,13 @@ class EvalResult:
 
 
 def evaluate(p: EvalPoint, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
-    """Evaluate S_r(x) by every applicable route; ``value`` is the direct one."""
-    value, tail_bound = power_sum(p, cfg)
-    hurwitz = specfun.power_sum_zeta(p)
+    """Evaluate S_r(x) by every applicable route; ``value`` is the direct one.
+
+    The direct route sums to ``core.select_m_terms``'s order, as
+    ``core.power_sum`` does.
+    """
+    m = core.select_m_terms(p.r, cfg.target_tol)
+    value, tail_bound, hurwitz = backend.power_sum_routes(p.r, p.x, m)
     poly = exactpoly.poly_route(p.r)
     if poly is None:
         spread = max(value, hurwitz) - min(value, hurwitz)

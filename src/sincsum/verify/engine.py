@@ -13,7 +13,7 @@ from itertools import repeat
 
 from .. import backend
 from ..core import DEFAULT_CONFIG, R_MAX, _check_x, select_m_terms
-from ..errors import DomainError
+from ..errors import DomainError, SizeLimitError
 from .corpus import THRESHOLD
 
 #: Below this requested tolerance the floating-point evaluation cannot
@@ -27,6 +27,11 @@ ANTISYM_TOL = 1e-9
 #: Fewest grid points the global-minimum check accepts.
 MIN_GRID_N = 16
 
+#: Most points any grid accepts: verify's global-minimum grid and the
+#: figure's curves alike.  A larger grid is refused before anything is
+#: allocated, so a mistyped size fails at once instead of running for hours.
+MAX_GRID_N = 1 << 20
+
 
 def _check_r(r: float) -> None:
     """The engine's one exponent rule: 1 <= r <= R_MAX (nan and inf fail it)."""
@@ -34,9 +39,16 @@ def _check_r(r: float) -> None:
         raise DomainError(f"the minimum claim is checked for 1 <= r <= {R_MAX}, got {r}")
 
 
+def check_grid_cap(grid_n: int) -> None:
+    """Refuse a grid of more than MAX_GRID_N points with SizeLimitError."""
+    if grid_n > MAX_GRID_N:
+        raise SizeLimitError(f"grid of {grid_n} points exceeds cap {MAX_GRID_N}")
+
+
 def _check_grid(grid_n: int) -> None:
     if grid_n < MIN_GRID_N:
         raise DomainError(f"grid_n must be >= {MIN_GRID_N}, got {grid_n}")
+    check_grid_cap(grid_n)
 
 
 def _check_tol(tol: float) -> None:

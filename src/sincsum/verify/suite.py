@@ -47,6 +47,8 @@ class CheckResult:
     witness: float | None = None
     boxes_visited: int | None = None
     wall_time_ms: float | None = None
+    #: why a check failed, in words, for stderr; not part of the report
+    detail: str | None = None
 
     def to_json_dict(self, include_timings: bool = False) -> dict:
         return {
@@ -271,6 +273,9 @@ def _other_checks(cfg: SuiteConfig) -> list[CheckResult]:
             status="passed" if man.passed else "failed",
             worst_margin=_finite_or_none(man.equality_worst),
             wall_time_ms=1e3 * (time.perf_counter() - t0),
+            detail=None if man.passed else man.diff + "".join(
+                f"{line}\n" for line in man.equality_failures
+            ),
         )
     )
 

@@ -71,6 +71,7 @@ class TestDifferential:
             x = rng.random()
             _assert_same(compiled, "power_sum_fixed", r, x, 16)
             _assert_same(compiled, "power_sum_zeta", r, x)
+            _assert_same(compiled, "power_sum_routes", r, x, 16)
             if 0.0 < x < 1.0:
                 _assert_same(compiled, "power_sum_deriv", r, x)
 
@@ -87,8 +88,9 @@ class TestDifferential:
         for name in ("sinc", "sinc_sq", "dsinc"):
             _assert_same(compiled, name, x)
             _assert_same(compiled, name, x - 1.0)
-        for m in (8, 64):
+        for m in (0, 8, 64):
             _assert_same(compiled, "power_sum_fixed", r, x, m)
+            _assert_same(compiled, "power_sum_routes", r, x, m)
         _assert_same(compiled, "power_sum_zeta", r, x)
         _assert_same(compiled, "power_sum_deriv", r, x)
 
@@ -121,11 +123,15 @@ class TestDifferential:
             compiled.power_sum_fixed(2.0, 0.3, 16.0)
         with pytest.raises(OverflowError):
             compiled.power_sum_fixed(2.0, 0.3, 1 << 80)
+        with pytest.raises(TypeError):
+            compiled.power_sum_routes(2.0, 0.3)
         for twin in (pure, compiled):
-            with pytest.raises(ValueError, match="m_terms must be >= 0"):
-                twin.power_sum_fixed(2.0, 0.3, -3)
-            with pytest.raises(ValueError, match="m_terms must be >= 0"):
-                twin.power_sum_fixed(2.0, 0.3, -1)
+            for name in ("power_sum_fixed", "power_sum_routes"):
+                for x in (0.3, 1.0):
+                    with pytest.raises(ValueError, match="m_terms must be >= 0"):
+                        getattr(twin, name)(2.0, x, -3)
+                    with pytest.raises(ValueError, match="m_terms must be >= 0"):
+                        getattr(twin, name)(2.0, x, -1)
         assert compiled.power_sum_fixed(2.0, 0.3, 0) == pure.power_sum_fixed(2.0, 0.3, 0)
         assert compiled.sinc(0) == pure.sinc(0)
 
@@ -149,7 +155,13 @@ class TestDifferential:
         from sincsum.core import R_MAX
 
         kernels = pure if twin == "pure" else compiled
-        for name in ("power_sum_fixed", "power_sum_zeta", "power_sum_deriv", "zeta_em"):
+        for name in (
+            "power_sum_fixed",
+            "power_sum_zeta",
+            "power_sum_routes",
+            "power_sum_deriv",
+            "zeta_em",
+        ):
             monkeypatch.setattr(backend, name, getattr(kernels, name))
         # the derivative was nan from r ~ 6.7e153 on
         for r in (6.7e153, 1e200, 1e300, R_MAX):
@@ -281,3 +293,28 @@ class TestReferenceLoops:
             s = 1.0 + math.exp(rng.uniform(-20.0, 8.0))
             a = math.exp(rng.uniform(-10.0, 6.0))
             assert _same(zeta_em_reference(s, a), twin_kernels.zeta_em(s, a)), (s, a)
+
+
+class TestRoutesPass:
+    """``power_sum_routes`` on each twin against that twin's two routes run
+    on their own, bit for bit, and the twins against each other."""
+
+    @pytest.mark.parametrize("x", GUARD_X)
+    def test_at_the_guard(self, twin_kernels, compiled, x):
+        # the guard points straddle the central loop's guard, the shared
+        # head's and the closed form's endpoints
+        for r in GUARD_R:
+            for m in GUARD_M:
+                want = (*twin_kernels.power_sum_fixed(r, x, m), twin_kernels.power_sum_zeta(r, x))
+                got = twin_kernels.power_sum_routes(r, x, m)
+                assert _same(want, got), f"({r}, {x!r}, {m}): {want!r} != {got!r}"
+                assert _same(got, compiled.power_sum_routes(r, x, m)), (r, x, m)
+
+    def test_random(self, twin_kernels):
+        rng = random.Random(16)
+        for _ in range(2000):
+            r = math.exp(rng.uniform(math.log(0.51), math.log(1e5)))
+            x = rng.choice((rng.random(), rng.uniform(0.0, 2e-4), rng.uniform(0.9998, 1.0)))
+            m = rng.randrange(0, 40)
+            want = (*twin_kernels.power_sum_fixed(r, x, m), twin_kernels.power_sum_zeta(r, x))
+            assert _same(want, twin_kernels.power_sum_routes(r, x, m)), (r, x, m)

@@ -11,9 +11,15 @@ from fractions import Fraction
 import pytest
 
 from helpers import run_cli
-from sincsum import DomainError, EvalConfig, cli, exact_min_constant
+from sincsum import DomainError, EvalConfig, SizeLimitError, cli, exact_min_constant, manifest
+from sincsum.manifest import ManifestReport
 from sincsum.specfun import BERNOULLI_CAP
-from sincsum.verify.engine import majorization_property, verify_global_min
+from sincsum.verify.engine import (
+    MAX_GRID_N,
+    check_grid_cap,
+    majorization_property,
+    verify_global_min,
+)
 from sincsum.verify.suite import CheckResult, SuiteConfig
 
 
@@ -275,6 +281,56 @@ class TestVerify:
         assert out == ""
         assert err == f"error: {expected.value}\n"
 
+    def test_grid_above_the_cap_is_refused_at_once(self, monkeypatch):
+        huge = 10**20
+        with pytest.raises(SizeLimitError) as expected:
+            verify_global_min(1.0, huge, 1e-10)
+        SuiteConfig(grid=MAX_GRID_N)
+        with pytest.raises(SizeLimitError):
+            SuiteConfig(grid=MAX_GRID_N + 1)
+
+        def must_not_run(*args, **kwargs):
+            pytest.fail("a check started for a grid above the cap")
+
+        monkeypatch.setattr(os, "fork", must_not_run)
+        monkeypatch.setattr(cli, "run_suite", must_not_run)
+        code, out, err = run_cli(["verify", "--grid", str(huge)])
+        assert (code, out) == (cli.EXIT_DOMAIN, "")
+        assert err == f"error: {expected.value}\n"
+
+    def test_stale_manifest_names_the_line_on_stderr(self, monkeypatch):
+        args = ["verify", "--grid", "64", "--trials", "500"]
+        code, passing, err = run_cli(args)
+        assert (code, err) == (0, "")
+        text = manifest.load_default_manifest()
+        line = text.splitlines(keepends=True)[1]
+        flipped = line.replace("\tnonnegative\t", "\tnonpositive\t")
+        assert flipped != line
+        monkeypatch.setattr(manifest, "load_default_manifest", lambda: text.replace(line, flipped))
+        code, out, err = run_cli(args)
+        assert code == cli.EXIT_VIOLATED
+        assert err.startswith("manifest_corpus_match failed:\n--- manifest\n+++ registry\n")
+        assert f"\n-{flipped}+{line}" in err
+        # the report is the passing one but for the check's status
+        payload = json.loads(passing)
+        payload["passed"] = False
+        for check in payload["checks"]:
+            if check["check_id"] == "manifest_corpus_match":
+                check["status"] = "failed"
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def test_failed_equality_point_on_stderr(self, monkeypatch):
+        args = ["verify", "--grid", "64", "--trials", "500"]
+        failure = "sqrt2_sin_lower at x=0.0: |expr| = 1.000e-03"
+        report = ManifestReport(False, "", 1e-3, (failure,))
+        monkeypatch.setattr(manifest, "manifest_check", lambda text: report)
+        code, out, err = run_cli(args)
+        assert code == cli.EXIT_VIOLATED
+        assert err == f"manifest_corpus_match failed:\n{failure}\n"
+        payload = json.loads(out)
+        (check,) = [c for c in payload["checks"] if c["check_id"] == "manifest_corpus_match"]
+        assert (check["status"], check["worst_margin"], check["witness"]) == ("failed", 1e-3, None)
+
     def test_flag_defaults_are_the_config_defaults(self):
         args = cli.build_parser().parse_args(["verify"])
         for f in dataclasses.fields(SuiteConfig):
@@ -358,6 +414,19 @@ class TestFigure:
         )
         assert code == 4
         assert "cannot write" in err
+
+    def test_grid_above_the_cap_is_refused_at_once(self, monkeypatch):
+        check_grid_cap(MAX_GRID_N)
+        with pytest.raises(SizeLimitError):
+            check_grid_cap(MAX_GRID_N + 1)
+
+        def must_not_run(*args, **kwargs):
+            pytest.fail("the curves were computed for a grid above the cap")
+
+        monkeypatch.setattr(cli, "_figure_rows", must_not_run)
+        code, out, err = run_cli(["figure", "--grid", str(10**20)])
+        assert (code, out) == (cli.EXIT_DOMAIN, "")
+        assert err == f"error: grid of {10**20} points exceeds cap {MAX_GRID_N}\n"
 
     def test_degenerate_grid(self):
         _, out, _ = run_cli(["figure", "--grid", "3"])
