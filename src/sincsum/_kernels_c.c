@@ -3,15 +3,17 @@
  * Same algorithms, same summation order, same Kahan steps and the same
  * guards: the same floating-point operations in the same order, though not
  * statement for statement.  The pure twin sums the lattice sum's central
- * terms in one plain loop with sinc's plain branch written in line where it
- * holds, and writes out zeta_em's eight leading terms and eight corrections
- * in line; the operations and their order are these.
- * power_sum_fixed, power_sum_zeta and power_sum_routes are built from the
- * same pieces (central_sum, head_pref, em_factors, zeta_em_f, tails,
- * closed_form).  power_sum_routes returns both routes bit for bit in one
- * pass: the m = 0 term, the prefactor and the eight Euler-Maclaurin factors
- * are computed once, and the closed form takes its m = -1 term from the
- * central block's last term.
+ * terms in one plain loop and forms its m = 0 and m = -1 terms with sinc's
+ * plain branch written in line where it holds, and writes out zeta_em's
+ * eight leading terms and eight corrections in line; the operations and
+ * their order are these.
+ * power_sum_fixed, power_sum_zeta and power_sum_routes are each a straight
+ * composition of the same pieces, and none calls another: heads (the m = 0
+ * term, the m = -1 term and the prefactor), em_factors, and direct and
+ * closed_form, which finish each route with zeta_em_f; closed_form owns the
+ * endpoint rule.  So power_sum_routes returns both routes bit for bit in one
+ * pass, with the heads, the prefactor and the eight Euler-Maclaurin factors
+ * formed once.
  * Keep the two files in lockstep: tests/test_backends.py compares them for
  * exact equality.  Both call the platform libm (sin, cos, exp, log, pow), and
  * contraction into fused multiply-adds is switched off below, so every
@@ -153,20 +155,35 @@ abs_sinc_pow(double x, double s)
     return exp(s * log(fabs(u)));
 }
 
-/* Kahan sum of the 2*m_terms central terms with m != 0, largest |m| first.
- * *c gets the compensation and *last the last term, the m = -1 term
- * |sinc(x - 1)|^s (0.0 when m_terms = 0). */
+/* The m = 0 term |sinc(x)|^s; *neighbour gets the m = -1 term
+ * |sinc(x - 1)|^s and *pref the prefactor (|sin(pi*x)|/pi)^s, 0.0 where
+ * sin(pi*x) is.  Both routes take all three from here. */
 static double
-central_sum(double s, double x, long m_terms, double *c, double *last)
+heads(double s, double x, double *neighbour, double *pref)
 {
-    double acc = 0.0, comp = 0.0, term = 0.0, y, t, xm[2];
+    double sp = fabs(sin(PI * x));
+    *neighbour = abs_sinc_pow(x - 1.0, s);
+    *pref = sp == 0.0 ? 0.0 : exp(s * (log(sp) - LOG_PI));
+    return abs_sinc_pow(x, s);
+}
+
+/* The direct route's (value, tail bound), given heads' terms and pref and
+ * f = em_factors(s): the central terms 0 < |m| <= m_terms Kahan-summed,
+ * largest |m| first, with the m = -1 term neighbour in its place, then the
+ * m = 0 term head, then the two analytic tails past m_terms. */
+static pair
+direct(double s, double x, long m_terms, double head, double neighbour,
+       double pref, const double f[8])
+{
+    double acc = 0.0, comp = 0.0, term, y, t, xm[2];
+    pair zr, zl;
     long k;
     int i;
     for (k = m_terms; k > 0; k--) {
         xm[0] = x + k;
         xm[1] = x - k;
         for (i = 0; i < 2; i++) {
-            term = abs_sinc_pow(xm[i], s);
+            term = k == 1 && i == 1 ? neighbour : abs_sinc_pow(xm[i], s);
             if (term != 0.0) {
                 y = term - comp;
                 t = acc + y;
@@ -175,37 +192,25 @@ central_sum(double s, double x, long m_terms, double *c, double *last)
             }
         }
     }
-    *c = comp;
-    *last = term;
-    return acc;
-}
-
-/* The m = 0 term |sinc(x)|^s; *pref gets the prefactor (|sin(pi*x)|/pi)^s,
- * 0.0 where sin(pi*x) is. */
-static double
-head_pref(double s, double x, double *pref)
-{
-    double sp = fabs(sin(PI * x));
-    *pref = sp == 0.0 ? 0.0 : exp(s * (log(sp) - LOG_PI));
-    return abs_sinc_pow(x, s);
-}
-
-/* power_sum_fixed's result from its central block's sum acc: the two
- * analytic tails past m_terms added, and the tail bound. */
-static pair
-tails(double s, double x, long m_terms, double acc, double pref, const double f[8])
-{
-    pair zr = zeta_em_f(s, m_terms + 1.0 + x, f);
-    pair zl = zeta_em_f(s, m_terms + 1.0 - x, f);
+    acc = acc + (head - comp);
+    if (pref == 0.0)
+        return (pair){acc, FLOAT_SLACK};
+    zr = zeta_em_f(s, m_terms + 1.0 + x, f);
+    zl = zeta_em_f(s, m_terms + 1.0 - x, f);
     return (pair){acc + pref * (zr.value + zl.value),
                   pref * (zr.bound + zl.bound) + FLOAT_SLACK};
 }
 
-/* power_sum_zeta's result from its m = 0 and m = -1 terms head. */
+/* The closed-form route, given heads' terms and pref and f = em_factors(s);
+ * the continuous value 1 at the endpoints and outside them. */
 static double
-closed_form(double s, double x, double head, double pref, const double f[8])
+closed_form(double s, double x, double head, double neighbour, double pref,
+            const double f[8])
 {
     double z0, z1;
+    if (x <= 0.0 || x >= 1.0)
+        return 1.0;
+    head = head + neighbour;
     if (pref == 0.0)
         return head;
     z0 = zeta_em_f(s, 1.0 + x, f).value;
@@ -216,64 +221,35 @@ closed_form(double s, double x, double head, double pref, const double f[8])
 static pair
 power_sum_fixed_d(double r, double x, long m_terms)
 {
-    double s = 2.0 * r;
-    double c, last, pref, head, acc, f[8];
-    acc = central_sum(s, x, m_terms, &c, &last);
-    head = head_pref(s, x, &pref);
-    acc = acc + (head - c);
-    if (pref == 0.0)
-        return (pair){acc, FLOAT_SLACK};
+    double s = 2.0 * r, neighbour, pref, head, f[8];
+    head = heads(s, x, &neighbour, &pref);
     em_factors(s, f);
-    return tails(s, x, m_terms, acc, pref, f);
+    return direct(s, x, m_terms, head, neighbour, pref, f);
 }
 
 static double
 power_sum_zeta_d(double r, double x)
 {
-    double s, head, pref, f[8];
-    if (x <= 0.0 || x >= 1.0)
-        return 1.0;
-    s = 2.0 * r;
-    head = head_pref(s, x, &pref);
-    head = head + abs_sinc_pow(x - 1.0, s);
+    double s = 2.0 * r, neighbour, pref, head, f[8];
+    head = heads(s, x, &neighbour, &pref);
     em_factors(s, f);
-    return closed_form(s, x, head, pref, f);
+    return closed_form(s, x, head, neighbour, pref, f);
 }
 
 /* (power_sum_fixed, tail bound, power_sum_zeta) in one pass: the routes
- * share the m = 0 term and the prefactor, the closed form's m = -1 term is
- * the central block's last term (x + (-1.0) is exactly x - 1.0), and the
- * four Hurwitz zeta sums share one set of factors.  Where x is not in
- * (0, 1), so the closed form returns its endpoint value, or m_terms = 0,
- * so there is no central block, each route runs on its own. */
+ * share heads' terms and prefactor, and the four Hurwitz zeta sums share one
+ * set of factors. */
 static void
 power_sum_routes_d(double r, double x, long m_terms, double out[3])
 {
-    double s = 2.0 * r;
-    double c, last, pref, head, acc, f[8];
+    double s = 2.0 * r, neighbour, pref, head, f[8];
     pair p;
-    if (m_terms == 0 || !(x > 0.0 && x < 1.0)) {
-        p = power_sum_fixed_d(r, x, m_terms);
-        out[0] = p.value;
-        out[1] = p.bound;
-        out[2] = power_sum_zeta_d(r, x);
-        return;
-    }
-    acc = central_sum(s, x, m_terms, &c, &last);
-    head = head_pref(s, x, &pref);
-    acc = acc + (head - c);
-    head = head + last;
-    if (pref == 0.0) {
-        out[0] = acc;
-        out[1] = FLOAT_SLACK;
-        out[2] = head;
-        return;
-    }
+    head = heads(s, x, &neighbour, &pref);
     em_factors(s, f);
-    p = tails(s, x, m_terms, acc, pref, f);
+    p = direct(s, x, m_terms, head, neighbour, pref, f);
     out[0] = p.value;
     out[1] = p.bound;
-    out[2] = closed_form(s, x, head, pref, f);
+    out[2] = closed_form(s, x, head, neighbour, pref, f);
 }
 
 /* d/dx u^s = s u^(s-1) u'; 0 where u vanishes, since s - 1 > 0. */

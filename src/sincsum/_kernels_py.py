@@ -5,12 +5,13 @@ twin ``sincsum._kernels_c``, built from ``_kernels_c.c``); ``sincsum.backend``
 picks one at import time.  Everything here is a plain function of floats with
 no package dependencies.  The twin contract is the same floating-point
 operations in the same order, so both return the same floats bit for bit;
-the loops need not match statement for statement.  ``power_sum_fixed``'s
-central block is one plain loop with ``sinc``'s plain branch written in line
-where it applies (see the ``power_sum_fixed`` paragraph below), and
+the loops need not match statement for statement.  The direct route's
+central block is one plain loop with ``sinc``'s plain branch written in
+line where it applies (see the ``power_sum_fixed`` paragraph below), and
 ``zeta_em``'s eight corrections and its eight leading terms are written out
-in line.  ``power_sum_routes`` runs both lattice-sum routes in one pass
-that computes their shared terms once (last paragraph below).
+in line.  The three lattice-sum kernels are compositions of one set of
+pieces, and ``power_sum_routes`` runs both routes in one pass that forms
+their shared terms once (last paragraph below).
 
 Definitions
 -----------
@@ -44,18 +45,19 @@ every s > 1, so no second pass is ever needed.  The direct route's tails
 and the accuracy contract.
 
 ``power_sum_fixed`` sums the 2M+1 central terms directly, largest |m| first
-with Kahan compensation, then adds the two analytic tails.  The 2M terms
-with m != 0 are summed in one loop over the offsets m = M, -M, M-1, ...,
-1, -1, which skips zero terms.  Each term is ``sinc``'s plain branch in
-line, t = pi*(x + m) and exp(s*log|sin(t)/t|), where the scalar ``sinc``
-would take that branch for every offset and ``exp`` cannot overflow:
-M < 2^20, s > 0, x >= 1e-9 and 1 - x >= 1e-4.  There no
-x + m rounds to an integer (1e-9 is more than half an ulp of any |m| <
-2^20, and x + m stays 1e-4 below the next integer), and |x + m| >= 1e-4,
-the Taylor branch's threshold.  1 - x is exact for x >= 1/2, so the last
-condition is |x - 1| >= 1e-4 exactly; x <= 1 - 1e-4 would not be, since
-0.9999 - 1 is -9.9999999999989e-05.  Elsewhere each term comes from
-``_abs_sinc_pow``.
+with Kahan compensation, then adds the two analytic tails.  The terms with
+m != 0, -1 are summed in one loop over the offsets m = M, -M, M-1, ...,
+2, -2, 1, which skips zero terms; the m = -1 term, which ``_heads`` forms,
+follows with the same Kahan step, and the m = 0 term comes last.  Each
+loop term is ``sinc``'s plain branch in line, t = pi*(x + m) and
+exp(s*log|sin(t)/t|), where the scalar ``sinc`` would take that branch for
+every offset and ``exp`` cannot overflow: M < 2^20, s > 0, x >= 1e-9 and
+1 - x >= 1e-4.  There no x + m rounds to an integer (1e-9 is more than
+half an ulp of any |m| < 2^20, and x + m stays 1e-4 below the next
+integer), and |x + m| >= 1e-4, the Taylor branch's threshold.  1 - x is
+exact for x >= 1/2, so the last condition is |x - 1| >= 1e-4 exactly;
+x <= 1 - 1e-4 would not be, since 0.9999 - 1 is -9.9999999999989e-05.
+Elsewhere each term comes from ``_abs_sinc_pow``.
 
 For m > M every term factors as (|sin(pi*x)|/pi)^(2r) * (m +- x)^(-2r), so
 each tail equals that prefactor times a Hurwitz zeta value at argument
@@ -63,28 +65,23 @@ M+1+-x, which ``zeta_em`` evaluates with a proven remainder gauge.  The
 reported ``tail_bound`` is prefactor * (left gauge + right gauge) plus a
 fixed 1e-14 floating-point slack covering rounding of the compensated sum.
 
-``power_sum_fixed`` and ``power_sum_zeta`` are built from the same pieces:
-``_central`` (the central block), ``_head_pref`` (the m = 0 term
-|sinc(x)|^(2r) and the prefactor), ``_em_factors`` (the eight
-Euler-Maclaurin factors, which depend on s alone), ``_zeta_em``, and
-``_tails`` and ``_closed_form``, which finish each route.  Both routes
-need sin(pi*x) twice, in the m = 0 term and in the prefactor; where
-``sinc(x)`` takes its plain branch (s > 0 and 1e-4 <= x < 1, so x is no
-integer and the head's exp cannot overflow), ``_head_pref`` computes
-t = pi*x and sin(t) once and takes both from them.
-
-``power_sum_routes(r, x, m_terms)`` returns
+``power_sum_fixed``, ``power_sum_zeta`` and ``power_sum_routes`` are each a
+straight composition of the same pieces, and none calls another:
+``_heads`` forms the m = 0 term |sinc(x)|^(2r), the m = -1 term
+|sinc(x - 1)|^(2r) and the prefactor (|sin(pi*x)|/pi)^(2r), each term in
+sinc's plain branch in line where it applies; ``_em_factors`` forms the
+eight Euler-Maclaurin factors, which depend on s alone; and ``_direct``
+and ``_closed_form`` finish each route, summing their Hurwitz zeta values
+with ``_zeta_em``.  ``_closed_form`` owns the endpoint rule: for x <= 0 or
+x >= 1 it returns the continuous value 1.  So ``power_sum_routes`` returns
 ``(*power_sum_fixed(r, x, m_terms), power_sum_zeta(r, x))`` bit for bit in
-one pass: the m = 0 term and the prefactor are computed once, the closed
-form's m = -1 term is the central block's last term (x + (-1.0) is exactly
-x - 1.0), and the four Hurwitz zeta sums, two tails and the closed form's
-pair, share one set of Euler-Maclaurin factors.  For x outside (0, 1),
-where the closed form returns its endpoint value, and for m_terms = 0,
-with no central block, it runs the two routes on their own.
+one pass, for every input: it forms the heads and the prefactor once, and
+the four Hurwitz zeta sums, two tails and the closed form's pair, share
+one set of Euler-Maclaurin factors.
 """
 
 import math
-from itertools import chain
+from itertools import chain, islice
 
 PI = math.pi
 LOG_PI = math.log(math.pi)
@@ -340,12 +337,14 @@ def _zeta_em(s: float, a: float, f: tuple[float, ...]) -> tuple[float, float]:
 
 
 def _central_offsets(m: int):
-    """The central offsets m, -m, m-1, -(m-1), ..., 1, -1 as floats.
+    """The central offsets m, -m, m-1, -(m-1), ..., 2, -2, 1 as floats, m >= 1.
 
-    x + (-k) is exactly x - k, so this is the order in which the central
-    block adds its terms: largest |k| first, + before -.
+    x + (-k) is exactly x - k, so this is the order in which the direct
+    route adds its terms: largest |k| first, + before -.  The m = -1 term
+    comes last; ``_heads`` forms it, so its offset is left out here.
     """
-    return chain.from_iterable(zip(map(float, range(m, 0, -1)), map(float, range(-m, 0))))
+    pairs = zip(map(float, range(m, 0, -1)), map(float, range(-m, 0)))
+    return islice(chain.from_iterable(pairs), 2 * m - 1)
 
 
 #: Offset tuples for m up to this size are built once, sharing their floats
@@ -368,39 +367,23 @@ def _abs_sinc_pow(x: float, s: float) -> float:
         return math.inf  # s < 0, where C's exp gives inf
 
 
-def _central(s: float, x: float, m_terms: int) -> tuple[float, float, float]:
-    """The 2*m_terms central terms with m != 0, Kahan-summed.
+def _heads(s: float, x: float) -> tuple[float, float, float]:
+    """The m = 0 term |sinc(x)|^s, the m = -1 term |sinc(x - 1)|^s and the
+    prefactor (|sin(pi*x)|/pi)^s, which both routes share.
 
-    Returns ``(acc, c, term)``: the sum, its compensation and the last
-    term, which is the m = -1 term |sinc(x - 1)|^s (0.0 when m_terms = 0).
+    Each term is ``sinc``'s plain branch in line where ``sinc`` takes it
+    and exp cannot overflow (s > 0).  For the m = 0 term that is
+    1e-4 <= x < 1, where x is no integer and the term and the prefactor
+    come from one sin(pi*x), which is positive there.  For the m = -1 term
+    it is x >= 1e-9 and 1 - x >= 1e-4: below about 1.1e-16, x - 1 rounds
+    to -1, where sinc is exactly 0.  Elsewhere each term comes from
+    ``_abs_sinc_pow``.  The prefactor is 0.0 where sin(pi*x) is.
     """
-    offsets = _OFFSETS[m_terms] if m_terms <= _KEPT_M else _central_offsets(m_terms)
-    plain = m_terms < 1 << 20 and s > 0.0 and x >= 1e-9 and 1.0 - x >= 1e-4
-    sin, log, exp = math.sin, math.log, math.exp
-    acc = 0.0
-    c = 0.0
-    term = 0.0
-    for o in offsets:
-        if plain:  # sinc's plain branch, in line
-            t = PI * (x + o)
-            term = exp(s * log(abs(sin(t) / t)))
-        else:
-            term = _abs_sinc_pow(x + o, s)
-        if term:  # the C twin's term != 0.0
-            y = term - c
-            t = acc + y
-            c = (t - acc) - y
-            acc = t
-    return acc, c, term
-
-
-def _head_pref(s: float, x: float) -> tuple[float, float]:
-    """The m = 0 term |sinc(x)|^s and the prefactor (|sin(pi*x)|/pi)^s.
-
-    Where ``sinc(x)`` takes its plain branch (s > 0 and 1e-4 <= x < 1, so
-    x is no integer and exp cannot overflow) both come from one sin(pi*x),
-    which is positive there.  The prefactor is 0.0 where sin(pi*x) is.
-    """
+    if s > 0.0 and x >= 1e-9 and 1.0 - x >= 1e-4:
+        t = PI * (x - 1.0)
+        neighbour = math.exp(s * math.log(abs(math.sin(t) / t)))
+    else:
+        neighbour = _abs_sinc_pow(x - 1.0, s)
     if s > 0.0 and 1e-4 <= x < 1.0:
         t = PI * x
         sp = math.sin(t)
@@ -412,25 +395,65 @@ def _head_pref(s: float, x: float) -> tuple[float, float]:
         except ValueError:
             sp = math.nan  # x = +-inf, where C's sin gives nan
         if sp == 0.0:
-            return head, 0.0
+            return head, neighbour, 0.0
     try:
-        return head, math.exp(s * (math.log(sp) - LOG_PI))
+        return head, neighbour, math.exp(s * (math.log(sp) - LOG_PI))
     except OverflowError:
-        return head, math.inf  # s < 0
+        return head, neighbour, math.inf  # s < 0
 
 
-def _tails(
-    s: float, x: float, m_terms: int, acc: float, pref: float, f: tuple[float, ...]
+def _direct(
+    s: float, x: float, m_terms: int, heads: tuple[float, float, float], f: tuple[float, ...]
 ) -> tuple[float, float]:
-    """``power_sum_fixed``'s result from its central block's sum ``acc``:
-    the two analytic tails past m_terms added, and the tail bound."""
+    """The direct route's ``(value, tail_bound)`` from ``heads = _heads(s, x)``
+    and ``f = _em_factors(s)``.
+
+    Kahan-sums the central terms 0 < |m| <= m_terms but m = -1, largest
+    |m| first, then the m = -1 term with the same step, then the m = 0
+    term, and adds the two analytic tails past m_terms.
+    """
+    if m_terms < 0:
+        raise ValueError(f"m_terms must be >= 0, got {m_terms}")
+    head, neighbour, pref = heads
+    offsets = _OFFSETS[m_terms] if m_terms <= _KEPT_M else _central_offsets(m_terms)
+    plain = m_terms < 1 << 20 and s > 0.0 and x >= 1e-9 and 1.0 - x >= 1e-4
+    sin, log, exp = math.sin, math.log, math.exp
+    acc = 0.0
+    c = 0.0
+    for o in offsets:
+        if plain:  # sinc's plain branch, in line
+            t = PI * (x + o)
+            term = exp(s * log(abs(sin(t) / t)))
+        else:
+            term = _abs_sinc_pow(x + o, s)
+        if term:  # the C twin's term != 0.0
+            y = term - c
+            t = acc + y
+            c = (t - acc) - y
+            acc = t
+    if m_terms and neighbour:
+        y = neighbour - c
+        t = acc + y
+        c = (t - acc) - y
+        acc = t
+    acc = acc + (head - c)
+    if pref == 0.0:
+        return acc, FLOAT_SLACK
     z_right, g_right = _zeta_em(s, m_terms + 1.0 + x, f)
     z_left, g_left = _zeta_em(s, m_terms + 1.0 - x, f)
     return acc + pref * (z_right + z_left), pref * (g_right + g_left) + FLOAT_SLACK
 
 
-def _closed_form(s: float, x: float, head: float, pref: float, f: tuple[float, ...]) -> float:
-    """``power_sum_zeta``'s result from its m = 0 and m = -1 terms ``head``."""
+def _closed_form(
+    s: float, x: float, heads: tuple[float, float, float], f: tuple[float, ...]
+) -> float:
+    """The closed-form route from ``heads = _heads(s, x)`` and
+    ``f = _em_factors(s)``; the continuous value 1 at the endpoints and
+    outside them."""
+    if x <= 0.0 or x >= 1.0:
+        return 1.0
+    head, neighbour, pref = heads
+    head = head + neighbour
     if pref == 0.0:
         return head
     z0, _ = _zeta_em(s, 1.0 + x, f)
@@ -445,15 +468,8 @@ def power_sum_fixed(r: float, x: float, m_terms: int) -> tuple[float, float]:
     Terms are accumulated from the largest |m| inward with Kahan
     compensation so the small terms are added first.
     """
-    if m_terms < 0:
-        raise ValueError(f"m_terms must be >= 0, got {m_terms}")
     s = 2.0 * r
-    acc, c, _ = _central(s, x, m_terms)
-    head, pref = _head_pref(s, x)
-    acc = acc + (head - c)
-    if pref == 0.0:
-        return acc, FLOAT_SLACK
-    return _tails(s, x, m_terms, acc, pref, _em_factors(s))
+    return _direct(s, x, m_terms, _heads(s, x), _em_factors(s))
 
 
 def power_sum_zeta(r: float, x: float) -> float:
@@ -464,36 +480,20 @@ def power_sum_zeta(r: float, x: float) -> float:
     |sinc(x-1)|^(2r) so no intermediate overflows for large r, leaving
     zeta arguments in (1,2).  Endpoints return the continuous value 1.
     """
-    if x <= 0.0 or x >= 1.0:
-        return 1.0
     s = 2.0 * r
-    head, pref = _head_pref(s, x)
-    head = head + _abs_sinc_pow(x - 1.0, s)
-    return _closed_form(s, x, head, pref, _em_factors(s))
+    return _closed_form(s, x, _heads(s, x), _em_factors(s))
 
 
 def power_sum_routes(r: float, x: float, m_terms: int) -> tuple[float, float, float]:
     """``(*power_sum_fixed(r, x, m_terms), power_sum_zeta(r, x))`` in one pass.
 
-    The routes share the m = 0 term and the prefactor; the closed form's
-    m = -1 term is the central block's last term (x + (-1.0) is exactly
-    x - 1.0); and the four Hurwitz zeta sums share one set of
-    Euler-Maclaurin factors.  Where x is not in (0, 1), so the closed form
-    returns its endpoint value, or m_terms <= 0, so there is no central
-    block, each route runs on its own.
+    The routes share the heads and the prefactor of ``_heads``, and the
+    four Hurwitz zeta sums share one set of Euler-Maclaurin factors.
     """
-    if m_terms <= 0 or not 0.0 < x < 1.0:
-        return (*power_sum_fixed(r, x, m_terms), power_sum_zeta(r, x))
     s = 2.0 * r
-    acc, c, last = _central(s, x, m_terms)
-    head, pref = _head_pref(s, x)
-    acc = acc + (head - c)
-    head = head + last
-    if pref == 0.0:
-        return acc, FLOAT_SLACK, head
+    heads = _heads(s, x)
     f = _em_factors(s)
-    value, tail_bound = _tails(s, x, m_terms, acc, pref, f)
-    return value, tail_bound, _closed_form(s, x, head, pref, f)
+    return (*_direct(s, x, m_terms, heads, f), _closed_form(s, x, heads, f))
 
 
 def _head_deriv(u: float, du: float, s: float) -> float:

@@ -6,11 +6,13 @@ Hurwitz zeta closed form (any r > 1/2), and exact-polynomial evaluation
 the direct value with its tail bound, and reports the maximum pairwise gap,
 which serves as a cheap smoke alarm for implementation disagreement.  The
 direct and closed-form routes run in one kernel pass,
-``backend.power_sum_routes``, which computes their shared terms once: the
-m = 0 term, the prefactor (|sin(pi x)|/pi)^(2r), the m = -1 term and the
-Euler-Maclaurin factors; it returns both routes' floats bit for bit.  A
-caller who wants a single route calls it directly: ``core.power_sum``,
-``specfun.power_sum_zeta`` or ``exactpoly.poly_eval(poly_f(r), x)``.
+``backend.power_sum_routes``, built from the same pieces as the two
+single-route kernels.  It forms their shared terms once: the m = 0 and
+m = -1 terms, the prefactor (|sin(pi x)|/pi)^(2r) and the Euler-Maclaurin
+factors.  It returns both routes' floats bit for bit at every x, the
+closed form's endpoints included.  A caller who wants a single route calls
+it directly: ``core.power_sum``, ``specfun.power_sum_zeta`` or
+``exactpoly.poly_eval(poly_f(r), x)``.
 """
 
 from dataclasses import dataclass

@@ -123,10 +123,6 @@ def certify(ineq: CertifiedInequality) -> CertifiedInequality:
     witness = None
     diagnostics: list[str] = []
 
-    def point_breaks_claim(x: float) -> bool:
-        enc = _try_eval(ineq.expression, Interval.point(x))
-        return enc is not None and _upper_margin(enc, claim) < -EPS_CERT
-
     while stack:
         lo, hi, depth = stack.pop()
         boxes += 1
@@ -151,17 +147,16 @@ def certify(ineq: CertifiedInequality) -> CertifiedInequality:
         if decided:
             continue
 
-        if enc is not None and _upper_margin(enc, claim) < -EPS_CERT:
-            mid = box.mid
-            if point_breaks_claim(mid):
+        # a box that looks refuted, or that is split no further, is tested
+        # once at its midpoint for a witness
+        mid = box.mid
+        at_floor = (hi - lo) <= _MIN_WIDTH or not lo < mid < hi
+        if at_floor or (enc is not None and _upper_margin(enc, claim) < -EPS_CERT):
+            point = _try_eval(ineq.expression, Interval.point(mid))
+            if point is not None and _upper_margin(point, claim) < -EPS_CERT:
                 witness = mid
                 break
-
-        mid = 0.5 * (lo + hi)
-        if (hi - lo) <= _MIN_WIDTH or not lo < mid < hi:
-            if point_breaks_claim(mid):
-                witness = mid
-                break
+        if at_floor:
             if len(diagnostics) < 8:
                 diagnostics.append(f"box [{lo!r}, {hi!r}] at depth {depth} undecided")
             continue

@@ -3,7 +3,7 @@
 Rigor model ("floating-point rigor"): every elementary operation is
 evaluated in double precision and the result endpoints are pushed outward
 by 4 units in the last place.  That inflation dominates the worst libm
-error of sin/cos/exp/log/pow (at most a couple of ulps on this platform),
+error of sin/cos/pow/sqrt (at most a couple of ulps on this platform),
 so each primitive returns an interval containing the true range of the
 operation over its input intervals.  This is honest validated numerics at
 machine precision, not a formal proof.
@@ -191,17 +191,6 @@ class Interval:
                 raise EnclosureError(f"sqrt of negative interval: {self}")
             lo = 0.0
         return Interval(_dn(math.sqrt(lo)), _up(math.sqrt(hi)))
-
-    def exp(self) -> "Interval":
-        try:
-            return Interval(_dn(math.exp(self.lo)), _up(math.exp(self.hi)))
-        except OverflowError as exc:
-            raise EnclosureError(f"exp of {self} exceeds double range") from exc
-
-    def log(self) -> "Interval":
-        if self.lo <= 0.0:
-            raise EnclosureError(f"log of interval touching (-inf, 0]: {self}")
-        return Interval(_dn(math.log(self.lo)), _up(math.log(self.hi)))
 
     # -- trigonometric enclosures --------------------------------------------
 

@@ -245,6 +245,27 @@ def power_sum_fixed_reference(r: float, x: float, m_terms: int) -> tuple[float, 
     return value, tail_bound
 
 
+def power_sum_zeta_reference(r: float, x: float) -> float:
+    """The closed-form route as first written: the m = 0 and m = -1 terms
+    from ``_abs_sinc_pow`` and the Hurwitz zeta pair from
+    ``zeta_em_reference``, each formed on its own, and the continuous value
+    1 at the endpoints and outside them.  Both kernel twins must return the
+    same floats, bit for bit, for every input."""
+    if x <= 0.0 or x >= 1.0:
+        return 1.0
+    s = 2.0 * r
+    head = _abs_sinc_pow(x, s) + _abs_sinc_pow(x - 1.0, s)
+    try:
+        pref = math.exp(s * (math.log(math.sin(PI * x)) - LOG_PI))
+    except OverflowError:
+        pref = math.inf  # s < 0, where C's exp gives inf
+    if pref == 0.0:
+        return head
+    z0, _ = zeta_em_reference(s, 1.0 + x)
+    z1, _ = zeta_em_reference(s, 2.0 - x)
+    return head + pref * (z0 + z1)
+
+
 def _deriv(c: list[Fraction]) -> list[Fraction]:
     return [k * c[k] for k in range(1, len(c))]
 

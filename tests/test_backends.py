@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import power_sum_fixed_reference, zeta_em_reference
+from helpers import power_sum_fixed_reference, power_sum_zeta_reference, zeta_em_reference
 from sincsum import _kernels_py as pure
 
 PACKAGE_DIR = Path(pure.__file__).resolve().parent
@@ -230,13 +230,14 @@ class TestSelection:
         assert "unknown SINCSUM_BACKEND" in out.stderr
 
 
-# Points at and around the edges of the guard under which the pure twin's
-# central loop writes sinc's plain branch in line (x >= 1e-9 and
-# 1 - x >= 1e-4, s > 0): 1 - 1e-4 rounds to 0.9999, whose x - 1 is within
-# 1e-4 of 0, so the guard must not hold there, while its lower neighbour is
-# the largest x where it does.  Around 1e-4 the m = 0 head switches between
-# sinc's Taylor branch and the plain branch whose sin(pi*x) the prefactor
-# shares.
+# Points at and around the edges of the guards under which the pure twin
+# writes sinc's plain branch in line.  The direct route's central loop and
+# the m = -1 term of ``_heads`` take it where x >= 1e-9 and 1 - x >= 1e-4
+# (and s > 0): 1 - 1e-4 rounds to 0.9999, whose x - 1 is within 1e-4 of 0,
+# so the guard must not hold there, while its lower neighbour is the
+# largest x where it does.  Around 1e-4 the m = 0 term of ``_heads``
+# switches between sinc's Taylor branch and the plain branch whose
+# sin(pi*x) the prefactor shares.  0 and 1 are the closed form's endpoints.
 _up = math.nextafter
 GUARD_X = [0.0, 5e-324, 1e-12, _up(1e-9, 0.0), 1e-9, _up(1e-9, 1.0)]
 GUARD_X += [_up(1e-4, 0.0), 1e-4, _up(1e-4, 1.0), 0.5]
@@ -249,7 +250,8 @@ GUARD_R = [-1e4, -2.0, 0.51, 1.0, 2.5, 1e4, 1e45]
 
 class TestReferenceLoops:
     """Both twins against the scalar loops that the pure twin's in-line
-    central loop and unrolled Euler-Maclaurin corrections replaced."""
+    central loop and unrolled Euler-Maclaurin corrections replaced, and
+    against the closed form as first written."""
 
     @pytest.mark.parametrize("x", GUARD_X)
     def test_power_sum_fixed_at_the_guard(self, twin_kernels, x):
@@ -274,6 +276,22 @@ class TestReferenceLoops:
             want = power_sum_fixed_reference(r, x, m)
             assert _same(want, twin_kernels.power_sum_fixed(r, x, m)), (r, x, m)
 
+    # nan fails both comparisons of the endpoint rule x <= 0 or x >= 1, so
+    # it is summed, where not 0 < x < 1 would return 1
+    @pytest.mark.parametrize("x", GUARD_X + [math.inf, -math.inf, math.nan])
+    def test_power_sum_zeta_at_the_guard(self, twin_kernels, x):
+        for r in GUARD_R:
+            want = power_sum_zeta_reference(r, x)
+            got = twin_kernels.power_sum_zeta(r, x)
+            assert _same(want, got), f"({r}, {x!r}): {want!r} != {got!r}"
+
+    def test_power_sum_zeta_random(self, twin_kernels):
+        rng = random.Random(17)
+        for _ in range(400):
+            r = math.exp(rng.uniform(math.log(0.51), math.log(1e5)))
+            x = rng.choice((rng.random(), rng.uniform(0.0, 2e-4), rng.uniform(0.9998, 1.0)))
+            assert _same(power_sum_zeta_reference(r, x), twin_kernels.power_sum_zeta(r, x)), (r, x)
+
     @pytest.mark.parametrize(
         "s", [-math.inf, -300.0, -1.0, 0.0, 0.5, 1.0, 1.0 + 1e-9, 2.0, 5.3, 200.0, 1e300]
         + [math.inf, math.nan],
@@ -295,17 +313,24 @@ class TestReferenceLoops:
             assert _same(zeta_em_reference(s, a), twin_kernels.zeta_em(s, a)), (s, a)
 
 
+def _routes_reference(r, x, m):
+    return (*power_sum_fixed_reference(r, x, m), power_sum_zeta_reference(r, x))
+
+
 class TestRoutesPass:
-    """``power_sum_routes`` on each twin against that twin's two routes run
-    on their own, bit for bit, and the twins against each other."""
+    """``power_sum_routes`` on each twin against the two routes' reference
+    loops, ``power_sum_fixed_reference`` and ``power_sum_zeta_reference``,
+    bit for bit, and the twins against each other.  The references share
+    no piece with the kernels: in each twin the direct route, the closed
+    form and ``power_sum_routes`` are built from the same heads."""
 
     @pytest.mark.parametrize("x", GUARD_X)
     def test_at_the_guard(self, twin_kernels, compiled, x):
-        # the guard points straddle the central loop's guard, the shared
-        # head's and the closed form's endpoints
+        # the guard points straddle the in-line guards of the central loop
+        # and of both heads, and the closed form's endpoints
         for r in GUARD_R:
             for m in GUARD_M:
-                want = (*twin_kernels.power_sum_fixed(r, x, m), twin_kernels.power_sum_zeta(r, x))
+                want = _routes_reference(r, x, m)
                 got = twin_kernels.power_sum_routes(r, x, m)
                 assert _same(want, got), f"({r}, {x!r}, {m}): {want!r} != {got!r}"
                 assert _same(got, compiled.power_sum_routes(r, x, m)), (r, x, m)
@@ -316,5 +341,5 @@ class TestRoutesPass:
             r = math.exp(rng.uniform(math.log(0.51), math.log(1e5)))
             x = rng.choice((rng.random(), rng.uniform(0.0, 2e-4), rng.uniform(0.9998, 1.0)))
             m = rng.randrange(0, 40)
-            want = (*twin_kernels.power_sum_fixed(r, x, m), twin_kernels.power_sum_zeta(r, x))
-            assert _same(want, twin_kernels.power_sum_routes(r, x, m)), (r, x, m)
+            got = twin_kernels.power_sum_routes(r, x, m)
+            assert _same(_routes_reference(r, x, m), got), (r, x, m)

@@ -61,7 +61,6 @@ class TestArithmeticContainment:
         assert (-a).contains(-x)
         assert a.powi(3).contains(x**3)
         assert a.powi(4).contains(x**4)
-        assert a.exp().contains(math.exp(x)) or x > 700
         assert a.sin().contains(math.sin(x))
         assert a.cos().contains(math.cos(x))
 
