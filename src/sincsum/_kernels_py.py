@@ -6,12 +6,14 @@ picks one at import time.  Everything here is a plain function of floats with
 no package dependencies.  The twin contract is the same floating-point
 operations in the same order, so both return the same floats bit for bit;
 the loops need not match statement for statement.  The direct route's
-central block is one plain loop with ``sinc``'s plain branch written in
-line where it applies (see the ``power_sum_fixed`` paragraph below), and
-``zeta_em``'s eight corrections and its eight leading terms are written out
-in line.  The three lattice-sum kernels are compositions of one set of
-pieces, and ``power_sum_routes`` runs both routes in one pass that forms
-their shared terms once (last paragraph below).
+central block is one of two plain loops, picked once per call: one writes
+``sinc``'s plain branch in line, for the inputs where that branch applies
+to every term (see the ``power_sum_fixed`` paragraph below), and the other
+calls the scalar kernel.  ``zeta_em``'s eight corrections and its eight
+leading terms are written out in line.  The three lattice-sum kernels are
+compositions of one set of pieces, and ``power_sum_routes`` runs both
+routes in one pass that forms their shared terms once (last paragraph
+below).
 
 Definitions
 -----------
@@ -48,16 +50,17 @@ and the accuracy contract.
 with Kahan compensation, then adds the two analytic tails.  The terms with
 m != 0, -1 are summed in one loop over the offsets m = M, -M, M-1, ...,
 2, -2, 1, which skips zero terms; the m = -1 term, which ``_heads`` forms,
-follows with the same Kahan step, and the m = 0 term comes last.  Each
-loop term is ``sinc``'s plain branch in line, t = pi*(x + m) and
-exp(s*log|sin(t)/t|), where the scalar ``sinc`` would take that branch for
-every offset and ``exp`` cannot overflow: M < 2^20, s > 0, x >= 1e-9 and
-1 - x >= 1e-4.  There no x + m rounds to an integer (1e-9 is more than
-half an ulp of any |m| < 2^20, and x + m stays 1e-4 below the next
-integer), and |x + m| >= 1e-4, the Taylor branch's threshold.  1 - x is
-exact for x >= 1/2, so the last condition is |x - 1| >= 1e-4 exactly;
-x <= 1 - 1e-4 would not be, since 0.9999 - 1 is -9.9999999999989e-05.
-Elsewhere each term comes from ``_abs_sinc_pow``.
+follows with the same Kahan step, and the m = 0 term comes last.  The
+loop is chosen once, before it starts.  Its terms are ``sinc``'s plain
+branch in line, t = pi*(x + m) and exp(s*log|sin(t)/t|), where the scalar
+``sinc`` would take that branch for every offset and ``exp`` cannot
+overflow: M < 2^20, s > 0, x >= 1e-9 and 1 - x >= 1e-4.  There no x + m
+rounds to an integer (1e-9 is more than half an ulp of any |m| < 2^20,
+and x + m stays 1e-4 below the next integer), and |x + m| >= 1e-4, the
+Taylor branch's threshold.  1 - x is exact for x >= 1/2, so the last
+condition is |x - 1| >= 1e-4 exactly; x <= 1 - 1e-4 would not be, since
+0.9999 - 1 is -9.9999999999989e-05.  Elsewhere the other loop takes each
+term from ``_abs_sinc_pow``.
 
 For m > M every term factors as (|sin(pi*x)|/pi)^(2r) * (m +- x)^(-2r), so
 each tail equals that prefactor times a Hurwitz zeta value at argument
@@ -420,17 +423,23 @@ def _direct(
     sin, log, exp = math.sin, math.log, math.exp
     acc = 0.0
     c = 0.0
-    for o in offsets:
-        if plain:  # sinc's plain branch, in line
-            t = PI * (x + o)
+    if plain:
+        for o in offsets:
+            t = PI * (x + o)  # sinc's plain branch, in line
             term = exp(s * log(abs(sin(t) / t)))
-        else:
+            if term:  # the C twin's term != 0.0
+                y = term - c
+                t = acc + y
+                c = (t - acc) - y
+                acc = t
+    else:
+        for o in offsets:
             term = _abs_sinc_pow(x + o, s)
-        if term:  # the C twin's term != 0.0
-            y = term - c
-            t = acc + y
-            c = (t - acc) - y
-            acc = t
+            if term:
+                y = term - c
+                t = acc + y
+                c = (t - acc) - y
+                acc = t
     if m_terms and neighbour:
         y = neighbour - c
         t = acc + y
@@ -493,7 +502,8 @@ def power_sum_routes(r: float, x: float, m_terms: int) -> tuple[float, float, fl
     s = 2.0 * r
     heads = _heads(s, x)
     f = _em_factors(s)
-    return (*_direct(s, x, m_terms, heads, f), _closed_form(s, x, heads, f))
+    value, tail_bound = _direct(s, x, m_terms, heads, f)
+    return value, tail_bound, _closed_form(s, x, heads, f)
 
 
 def _head_deriv(u: float, du: float, s: float) -> float:

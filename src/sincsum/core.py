@@ -50,15 +50,20 @@ M_FLOOR = 8
 TOL_FLOOR = backend.FLOAT_SLACK
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EvalConfig:
     """Evaluation budget: the tolerance the tail bound must meet."""
 
     target_tol: float = 1e-12
 
-    def __post_init__(self):
-        if not 0.0 < self.target_tol < math.inf:  # nan fails it too
-            raise DomainError(f"target_tol must be positive, got {self.target_tol}")
+    # The value types write their fields straight into the instance dict:
+    # the generated frozen __init__ would set each through object.__setattr__
+    # and then call __post_init__.  ``target_tol`` in the signature is the
+    # field's default above, read from the class body.
+    def __init__(self, target_tol: float = target_tol):
+        if not 0.0 < target_tol < math.inf:  # nan fails it too
+            raise DomainError(f"target_tol must be positive, got {target_tol}")
+        self.__dict__["target_tol"] = target_tol
 
 
 def _check_x(x: float) -> None:
@@ -68,24 +73,26 @@ def _check_x(x: float) -> None:
         raise DomainError(f"x must lie in [0,1], got {x}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EvalPoint:
     """Exponent parameter r and evaluation point x in [0,1]."""
 
     r: float
     x: float
 
-    def __post_init__(self):
-        if R_MIN < self.r <= R_MAX and 0.0 <= self.x <= 1.0:
-            return  # a valid point: the checks below only pick the message
-        if not math.isfinite(self.r) or not math.isfinite(self.x):
-            raise DomainError(f"non-finite evaluation point ({self.r}, {self.x})")
-        if self.r <= R_MIN:
-            raise DomainError(f"r must exceed {R_MIN} (sum diverges at 1/2), got {self.r}")
-        if self.r > R_MAX:
-            raise DomainError(f"r must be at most {R_MAX} (2r*pi overflows), got {self.r}")
-        if not 0.0 <= self.x <= 1.0:
-            _check_x(self.x)
+    def __init__(self, r: float, x: float):
+        if not (R_MIN < r <= R_MAX and 0.0 <= x <= 1.0):
+            # an invalid point: the checks below only pick the message
+            if not math.isfinite(r) or not math.isfinite(x):
+                raise DomainError(f"non-finite evaluation point ({r}, {x})")
+            if r <= R_MIN:
+                raise DomainError(f"r must exceed {R_MIN} (sum diverges at 1/2), got {r}")
+            if r > R_MAX:
+                raise DomainError(f"r must be at most {R_MAX} (2r*pi overflows), got {r}")
+            _check_x(x)
+        fields = self.__dict__
+        fields["r"] = r
+        fields["x"] = x
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -113,8 +120,9 @@ def _gauge_coeff(s: float) -> float:
         # Pochhammer factor; from s ~ 1e44 on that factor overflows too,
         # and inf * 0 would turn the gauge into NaN.
         return 0.0
-    # s(s+1)...(s+6), multiplied in that order
-    poch = s * (s + 1) * (s + 2) * (s + 3) * (s + 4) * (s + 5) * (s + 6)
+    # s(s+1)...(s+6), multiplied in that order; float literals, as an int
+    # would be converted to the same float on every call
+    poch = s * (s + 1.0) * (s + 2.0) * (s + 3.0) * (s + 4.0) * (s + 5.0) * (s + 6.0)
     # -_EM_COEF[3] = |B_8|/8!
     return 4.0 * -_EM_COEF[3] * poch * decay
 
@@ -134,8 +142,9 @@ def select_m_terms(r: float, target_tol: float) -> int:
         )
     s = 2.0 * r
     coeff = _gauge_coeff(s)
+    exponent = -s - 7.0
     m = M_FLOOR
-    while coeff * (m + 1.0) ** (-s - 7.0) + TOL_FLOOR > target_tol:
+    while coeff * (m + 1.0) ** exponent + TOL_FLOOR > target_tol:
         m += 1
     return m
 

@@ -13,6 +13,13 @@ factors.  It returns both routes' floats bit for bit at every x, the
 closed form's endpoints included.  A caller who wants a single route calls
 it directly: ``core.power_sum``, ``specfun.power_sum_zeta`` or
 ``exactpoly.poly_eval(poly_f(r), x)``.
+
+On the pure backend that pass is most of a call; the Python around it is
+kept thin.  ``evaluate`` reads the point's fields once, ``EvalResult`` (like
+``EvalPoint`` and ``EvalConfig``) stores its fields with a hand-written
+``__init__`` rather than the generated frozen one, and for integer r
+``exactpoly.poly_route`` returns a polynomial already built without
+``poly_f``'s argument checks.  It keeps no state per point.
 """
 
 from dataclasses import dataclass
@@ -21,12 +28,20 @@ from . import backend, core, exactpoly
 from .core import DEFAULT_CONFIG, EvalConfig, EvalPoint
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EvalResult:
     value: float
     spread: float
     methods: dict[str, float]
     tail_bound: float
+
+    def __init__(self, value: float, spread: float, methods: dict[str, float], tail_bound: float):
+        # the fields go straight into the instance dict, as in core.EvalPoint
+        fields = self.__dict__
+        fields["value"] = value
+        fields["spread"] = spread
+        fields["methods"] = methods
+        fields["tail_bound"] = tail_bound
 
 
 def evaluate(p: EvalPoint, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
@@ -35,14 +50,16 @@ def evaluate(p: EvalPoint, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
     The direct route sums to ``core.select_m_terms``'s order, as
     ``core.power_sum`` does.
     """
-    m = core.select_m_terms(p.r, cfg.target_tol)
-    value, tail_bound, hurwitz = backend.power_sum_routes(p.r, p.x, m)
-    poly = exactpoly.poly_route(p.r)
+    r = p.r
+    x = p.x
+    m = core.select_m_terms(r, cfg.target_tol)
+    value, tail_bound, hurwitz = backend.power_sum_routes(r, x, m)
+    poly = exactpoly.poly_route(r)
     if poly is None:
         spread = max(value, hurwitz) - min(value, hurwitz)
         methods = {"direct": value, "hurwitz": hurwitz}
     else:
-        polynomial = exactpoly.poly_eval(poly, p.x)
+        polynomial = exactpoly.poly_eval(poly, x)
         spread = max(value, hurwitz, polynomial) - min(value, hurwitz, polynomial)
         methods = {"direct": value, "hurwitz": hurwitz, "polynomial": polynomial}
     return EvalResult(value, spread, methods, tail_bound)

@@ -132,9 +132,12 @@ def poly_f(r: int) -> SincPolynomial:
 
 def poly_route(r: float) -> SincPolynomial | None:
     """P_r where the polynomial route applies (integer r in [1, R_CAP]), else None."""
-    if r == int(r) and 1 <= r <= R_CAP:
-        return poly_f(int(r))
-    return None
+    n = int(r)
+    if r != n or not 1 <= n <= R_CAP:
+        return None
+    # a polynomial already built is read without poly_f's argument checks
+    poly = _poly_cache.get(n)
+    return poly_f(n) if poly is None else poly
 
 
 def _check_invariants(r: int, q: list[int], scale: int) -> None:

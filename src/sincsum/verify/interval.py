@@ -3,7 +3,7 @@
 Rigor model ("floating-point rigor"): every elementary operation is
 evaluated in double precision and the result endpoints are pushed outward
 by 4 units in the last place.  That inflation dominates the worst libm
-error of sin/cos/pow/sqrt (at most a couple of ulps on this platform),
+error of sin/cos/pow (at most a couple of ulps on this platform),
 so each primitive returns an interval containing the true range of the
 operation over its input intervals.  This is honest validated numerics at
 machine precision, not a formal proof.
@@ -183,14 +183,6 @@ class Interval:
             return Interval(_dn(math.pow(hi, p)), _up(math.pow(lo, p)))
         except OverflowError as exc:
             raise EnclosureError(f"power {p} of {self} exceeds double range") from exc
-
-    def sqrt(self) -> "Interval":
-        lo, hi = self.lo, self.hi
-        if lo < 0.0:
-            if lo < -1e-12 or hi < 0.0:
-                raise EnclosureError(f"sqrt of negative interval: {self}")
-            lo = 0.0
-        return Interval(_dn(math.sqrt(lo)), _up(math.sqrt(hi)))
 
     # -- trigonometric enclosures --------------------------------------------
 

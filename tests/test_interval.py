@@ -147,7 +147,6 @@ def _random_expression(rng):
         lambda x: (PI_I * x / 2.0).cos(),
         lambda x: sinc_iv(x),
         lambda x: dsinc_iv(x),
-        lambda x: (x.sq() + 1.0).sqrt(),
     ]
     a = rng.choice(leafs)
     b = rng.choice(leafs)

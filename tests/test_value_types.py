@@ -34,7 +34,7 @@ SAMPLES = {
     [
         (EvalPoint, {"r": MISSING, "x": MISSING}),
         (EvalConfig, {"target_tol": 1e-12}),
-        (EvalResult, {"value": MISSING, "spread": MISSING, "methods": MISSING, "tail_bound": MISSING}),
+        (EvalResult, dict.fromkeys(("value", "spread", "methods", "tail_bound"), MISSING)),
     ],
 )
 def test_fields_and_defaults(cls, defaults):
