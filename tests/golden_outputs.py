@@ -5,8 +5,10 @@ The default ``verify`` report is kept as text.  The larger outputs are
 kept as sha256 digests in ``digests.txt``, one line each, every float as
 ``float.hex``: ``verify --seed 7 --trials 12345``, ``figure --grid 1024``,
 ``evaluate`` over the benchmark's eval-stream points for seeds 0-2 (its
-``perfbench/workloads.py``, read but not changed), and ``evaluate`` at each
-point of CI's cross-backend eval list, one line per point.  After a change
+``perfbench/workloads.py``, read but not changed), ``evaluate`` at each
+point of CI's cross-backend eval list, one line per point, and
+``power_sum_deriv`` at the interior points of ``verify``'s default grid, one
+line per ``r`` of its global-minimum checks.  After a change
 that moves numbers on purpose, rewrite the files from the repository root
 with
 
@@ -20,7 +22,8 @@ import importlib.util
 from pathlib import Path
 
 from helpers import run_cli
-from sincsum import EvalConfig, EvalPoint, cli, evaluate
+from sincsum import EvalConfig, EvalPoint, backend, cli, evaluate
+from sincsum.verify.suite import GLOBAL_MIN_R, SuiteConfig
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -76,6 +79,13 @@ def _eval_hex(points, cfg: EvalConfig) -> str:
     return "".join(lines)
 
 
+def _deriv_hex(r: float, grid: int) -> str:
+    """``power_sum_deriv`` at r and each interior grid point i/(grid - 1),
+    as ``verify``'s global-minimum check evaluates it, as float.hex."""
+    step = grid - 1
+    return " ".join(backend.power_sum_deriv(r, i / step).hex() for i in range(1, step)) + "\n"
+
+
 def _workloads():
     """The benchmark's workload definitions, loaded from their file."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
@@ -101,6 +111,10 @@ def digests() -> str:
     for r, x in CI_EVAL_POINTS:
         text = _eval_hex([(float(r), float(x))], EvalConfig())
         lines.append(f"{_sha256(text)}  eval --r {r} --x {x}, float.hex\n")
+    grid = SuiteConfig().grid
+    for r in GLOBAL_MIN_R:
+        text = _deriv_hex(r, grid)
+        lines.append(f"{_sha256(text)}  power_sum_deriv r={r!r} at i/{grid - 1}, float.hex\n")
     return "".join(lines)
 
 

@@ -27,6 +27,8 @@ from sincsum._kernels_py import (
     PI,
     _abs_sinc_pow,
     _em_pass_c,
+    dsinc,
+    sinc,
 )
 from sincsum.constants import _log_zeta, crude_bound
 from sincsum.core import (
@@ -264,6 +266,48 @@ def power_sum_zeta_reference(r: float, x: float) -> float:
     z0, _ = zeta_em_reference(s, 1.0 + x)
     z1, _ = zeta_em_reference(s, 2.0 - x)
     return head + pref * (z0 + z1)
+
+
+def _head_deriv_reference(u: float, du: float, s: float) -> float:
+    if u == 0.0 and s > 1.0:
+        return 0.0
+    try:
+        return s * math.exp((s - 1.0) * math.log(u)) * du
+    except ValueError:
+        lu = -math.inf if u == 0.0 else math.nan
+    except OverflowError:
+        return s * math.inf * du
+    return s * math.exp((s - 1.0) * lu) * du
+
+
+def power_sum_deriv_reference(r: float, x: float) -> float:
+    """The derivative of the closed form as first written: its own
+    ``sinc(x)``, ``sinc(x - 1)``, ``sin(pi*x)`` and prefactor, and the
+    Hurwitz zeta values from ``zeta_em_reference``, each formed on its own.
+    Both kernel twins must return the same floats, bit for bit, for every
+    input."""
+    s = 2.0 * r
+    d_head = _head_deriv_reference(sinc(x), dsinc(x), s)
+    d_head += _head_deriv_reference(sinc(x - 1.0), dsinc(x - 1.0), s)
+    try:
+        sp = math.sin(PI * x)
+        cp = math.cos(PI * x)
+    except ValueError:
+        sp = cp = math.nan
+    lsp = math.log(sp) if sp > 0.0 else (-math.inf if sp == 0.0 else math.nan)
+    try:
+        pref = math.exp(s * (lsp - LOG_PI))
+    except OverflowError:
+        pref = math.inf
+    try:
+        d_pref = s * PI * cp * math.exp((s - 1.0) * lsp - s * LOG_PI)
+    except OverflowError:
+        d_pref = s * PI * cp * math.inf
+    z0, _ = zeta_em_reference(s, 1.0 + x)
+    z1, _ = zeta_em_reference(s, 2.0 - x)
+    dz0, _ = zeta_em_reference(s + 1.0, 1.0 + x)
+    dz1, _ = zeta_em_reference(s + 1.0, 2.0 - x)
+    return d_head + d_pref * (z0 + z1) + pref * s * (dz1 - dz0)
 
 
 def _deriv(c: list[Fraction]) -> list[Fraction]:

@@ -17,7 +17,12 @@ from pathlib import Path
 
 import pytest
 
-from helpers import power_sum_fixed_reference, power_sum_zeta_reference, zeta_em_reference
+from helpers import (
+    power_sum_deriv_reference,
+    power_sum_fixed_reference,
+    power_sum_zeta_reference,
+    zeta_em_reference,
+)
 from sincsum import _kernels_py as pure
 
 PACKAGE_DIR = Path(pure.__file__).resolve().parent
@@ -251,7 +256,7 @@ GUARD_R = [-1e4, -2.0, 0.51, 1.0, 2.5, 1e4, 1e45]
 class TestReferenceLoops:
     """Both twins against the scalar loops that the pure twin's in-line
     central loop and unrolled Euler-Maclaurin corrections replaced, and
-    against the closed form as first written."""
+    against the closed form and its derivative as first written."""
 
     @pytest.mark.parametrize("x", GUARD_X)
     def test_power_sum_fixed_at_the_guard(self, twin_kernels, x):
@@ -291,6 +296,21 @@ class TestReferenceLoops:
             r = math.exp(rng.uniform(math.log(0.51), math.log(1e5)))
             x = rng.choice((rng.random(), rng.uniform(0.0, 2e-4), rng.uniform(0.9998, 1.0)))
             assert _same(power_sum_zeta_reference(r, x), twin_kernels.power_sum_zeta(r, x)), (r, x)
+
+    @pytest.mark.parametrize("x", GUARD_X + [math.inf, -math.inf, math.nan])
+    def test_power_sum_deriv_at_the_guard(self, twin_kernels, x):
+        for r in GUARD_R:
+            want = power_sum_deriv_reference(r, x)
+            got = twin_kernels.power_sum_deriv(r, x)
+            assert _same(want, got), f"({r}, {x!r}): {want!r} != {got!r}"
+
+    def test_power_sum_deriv_random(self, twin_kernels):
+        rng = random.Random(18)
+        for _ in range(400):
+            r = math.exp(rng.uniform(math.log(0.51), math.log(1e5)))
+            x = rng.choice((rng.random(), rng.uniform(0.0, 2e-4), rng.uniform(0.9998, 1.0)))
+            want = power_sum_deriv_reference(r, x)
+            assert _same(want, twin_kernels.power_sum_deriv(r, x)), (r, x)
 
     @pytest.mark.parametrize(
         "s", [-math.inf, -300.0, -1.0, 0.0, 0.5, 1.0, 1.0 + 1e-9, 2.0, 5.3, 200.0, 1e300]
