@@ -3,17 +3,20 @@
  * Same algorithms, same summation order, same Kahan steps and the same
  * guards: the same floating-point operations in the same order, though not
  * statement for statement.  The pure twin sums the lattice sum's central
- * terms in one plain loop and forms its m = 0 and m = -1 terms with sinc's
- * plain branch written in line where it holds, and writes out zeta_em's
- * eight leading terms and eight corrections in line; the operations and
- * their order are these.
- * power_sum_fixed, power_sum_zeta and power_sum_routes are each a straight
- * composition of the same pieces, and none calls another: heads (the m = 0
- * term, the m = -1 term and the prefactor), em_factors, and direct and
- * closed_form, which finish each route with zeta_em_f; closed_form owns the
- * endpoint rule.  So power_sum_routes returns both routes bit for bit in one
- * pass, with the heads, the prefactor and the eight Euler-Maclaurin factors
- * formed once.
+ * terms in one plain loop with sinc's plain branch written in line where it
+ * holds, and writes out zeta_em's eight leading terms and eight corrections
+ * in line; the operations and their order are these.
+ * power_sum_fixed, power_sum_zeta, power_sum_routes and power_sum_deriv are
+ * each a straight composition of the same pieces, and none calls another:
+ * sines (sinc(x), sinc(x - 1) and sin(pi*x), signed, each sinc in its plain
+ * branch in line where it applies, and the prefactor), heads (the m = 0
+ * term, the m = -1 term and the prefactor, taken from sines), em_factors,
+ * hurwitz_pair (the closed form's zeta pair), and direct and closed_form,
+ * which finish each route with zeta_em_f; closed_form owns the endpoint
+ * rule.  So power_sum_routes returns both routes bit for bit in one pass,
+ * with the heads, the prefactor and the eight Euler-Maclaurin factors formed
+ * once.  power_sum_deriv adds to sines and hurwitz_pair only its own parts:
+ * dsinc, cos(pi*x), head_deriv and the prefactor's derivative.
  * Keep the two files in lockstep: tests/test_backends.py compares them for
  * exact equality.  Both call the platform libm (sin, cos, exp, log, pow), and
  * contraction into fused multiply-adds is switched off below, so every
@@ -138,33 +141,50 @@ zeta_em_f(double s, double a, const double f[8])
     return (pair){total + corr, EM_NEXT * g};
 }
 
-static pair
-zeta_em_d(double s, double a)
+/* |u|^s via exp(s*log|u|); exactly 0 when u is. */
+static double
+abs_pow(double u, double s)
 {
-    double f[8];
-    em_factors(s, f);
-    return zeta_em_f(s, a, f);
+    return u == 0.0 ? 0.0 : exp(s * log(fabs(u)));
 }
 
+/* sinc(x), signed; *v gets sinc(x - 1) and *sp sin(pi*x), signed, and *pref
+ * the prefactor (|sin(pi*x)|/pi)^s, which is exp(s*(-inf)) where sin(pi*x)
+ * is 0.  Each sinc is sinc_d's plain branch in line where sinc_d takes it:
+ * 1e-4 <= x < 1 for sinc(x), which then shares sin(pi*x) with *sp, and
+ * x >= 1e-9 and 1 - x >= 1e-4 for sinc(x - 1).  The lattice-sum kernels
+ * and the derivative take these from here. */
 static double
-abs_sinc_pow(double x, double s)
+sines(double s, double x, double *v, double *sp, double *pref)
 {
-    double u = sinc_d(x);
-    if (u == 0.0)
-        return 0.0;
-    return exp(s * log(fabs(u)));
+    double t = PI * x, u;
+    *sp = sin(t);
+    u = 1e-4 <= x && x < 1.0 ? *sp / t : sinc_d(x);
+    t = PI * (x - 1.0);
+    *v = x >= 1e-9 && 1.0 - x >= 1e-4 ? sin(t) / t : sinc_d(x - 1.0);
+    *pref = exp(s * (log(fabs(*sp)) - LOG_PI));
+    return u;
 }
 
 /* The m = 0 term |sinc(x)|^s; *neighbour gets the m = -1 term
- * |sinc(x - 1)|^s and *pref the prefactor (|sin(pi*x)|/pi)^s, 0.0 where
- * sin(pi*x) is.  Both routes take all three from here. */
+ * |sinc(x - 1)|^s and *pref the prefactor, 0.0 where sin(pi*x) is.  Both
+ * routes take all three from here. */
 static double
 heads(double s, double x, double *neighbour, double *pref)
 {
-    double sp = fabs(sin(PI * x));
-    *neighbour = abs_sinc_pow(x - 1.0, s);
-    *pref = sp == 0.0 ? 0.0 : exp(s * (log(sp) - LOG_PI));
-    return abs_sinc_pow(x, s);
+    double v, sp, u = sines(s, x, &v, &sp, pref);
+    *pref = sp == 0.0 ? 0.0 : *pref;
+    *neighbour = abs_pow(v, s);
+    return abs_pow(u, s);
+}
+
+/* z[0] = zeta(s, 1 + x) and z[1] = zeta(s, 2 - x), given f = em_factors(s):
+ * the closed form's Hurwitz zeta pair. */
+static void
+hurwitz_pair(double s, double x, const double f[8], double z[2])
+{
+    z[0] = zeta_em_f(s, 1.0 + x, f).value;
+    z[1] = zeta_em_f(s, 2.0 - x, f).value;
 }
 
 /* The direct route's (value, tail bound), given heads' terms and pref and
@@ -183,7 +203,7 @@ direct(double s, double x, long m_terms, double head, double neighbour,
         xm[0] = x + k;
         xm[1] = x - k;
         for (i = 0; i < 2; i++) {
-            term = k == 1 && i == 1 ? neighbour : abs_sinc_pow(xm[i], s);
+            term = k == 1 && i == 1 ? neighbour : abs_pow(sinc_d(xm[i]), s);
             if (term != 0.0) {
                 y = term - comp;
                 t = acc + y;
@@ -207,15 +227,14 @@ static double
 closed_form(double s, double x, double head, double neighbour, double pref,
             const double f[8])
 {
-    double z0, z1;
+    double z[2];
     if (x <= 0.0 || x >= 1.0)
         return 1.0;
     head = head + neighbour;
     if (pref == 0.0)
         return head;
-    z0 = zeta_em_f(s, 1.0 + x, f).value;
-    z1 = zeta_em_f(s, 2.0 - x, f).value;
-    return head + pref * (z0 + z1);
+    hurwitz_pair(s, x, f, z);
+    return head + pref * (z[0] + z[1]);
 }
 
 static pair
@@ -261,29 +280,19 @@ head_deriv(double u, double du, double s)
     return s * exp((s - 1.0) * log(u)) * du;
 }
 
+/* d/dx of the closed form, with sines' sinc values and prefactor. */
 static double
 power_sum_deriv_d(double r, double x)
 {
-    double s = 2.0 * r;
-    double u = sinc_d(x);
-    double du = dsinc_d(x);
-    double v = sinc_d(x - 1.0);
-    double dv = dsinc_d(x - 1.0);
-    double d_head = head_deriv(u, du, s) + head_deriv(v, dv, s);
-
-    double sp = sin(PI * x);
-    double lsp = log(sp);
-    double pref = exp(s * (lsp - LOG_PI));
-    double d_pref = s * PI * cos(PI * x) * exp((s - 1.0) * lsp - s * LOG_PI);
-
-    double f[8], z0, z1, dz0, dz1;
+    double s = 2.0 * r, v, sp, pref, u = sines(s, x, &v, &sp, &pref);
+    double d_head = head_deriv(u, dsinc_d(x), s) + head_deriv(v, dsinc_d(x - 1.0), s);
+    double d_pref = s * PI * cos(PI * x) * exp((s - 1.0) * log(sp) - s * LOG_PI);
+    double f[8], z[2], dz[2];
     em_factors(s, f);
-    z0 = zeta_em_f(s, 1.0 + x, f).value;
-    z1 = zeta_em_f(s, 2.0 - x, f).value;
+    hurwitz_pair(s, x, f, z);
     em_factors(s + 1.0, f);
-    dz0 = zeta_em_f(s + 1.0, 1.0 + x, f).value;
-    dz1 = zeta_em_f(s + 1.0, 2.0 - x, f).value;
-    return d_head + d_pref * (z0 + z1) + pref * s * (dz1 - dz0);
+    hurwitz_pair(s + 1.0, x, f, dz);
+    return d_head + d_pref * (z[0] + z[1]) + pref * s * (dz[1] - dz[0]);
 }
 
 /* ---- Python wrappers ------------------------------------------------- */
@@ -391,10 +400,11 @@ py_dsinc(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 py_zeta_em(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    double a[2];
+    double a[2], f[8];
     if (float_args("zeta_em", args, nargs, 2, a) < 0)
         return NULL;
-    return pair_tuple(zeta_em_d(a[0], a[1]));
+    em_factors(a[0], f);
+    return pair_tuple(zeta_em_f(a[0], a[1], f));
 }
 
 static PyObject *

@@ -10,10 +10,10 @@ central block is one of two plain loops, picked once per call: one writes
 ``sinc``'s plain branch in line, for the inputs where that branch applies
 to every term (see the ``power_sum_fixed`` paragraph below), and the other
 calls the scalar kernel.  ``zeta_em``'s eight corrections and its eight
-leading terms are written out in line.  The three lattice-sum kernels are
-compositions of one set of pieces, and ``power_sum_routes`` runs both
-routes in one pass that forms their shared terms once (last paragraph
-below).
+leading terms are written out in line.  The three lattice-sum kernels and
+the derivative are compositions of one set of pieces, and
+``power_sum_routes`` runs both routes in one pass that forms their shared
+terms once (last paragraph below).
 
 Definitions
 -----------
@@ -68,19 +68,26 @@ M+1+-x, which ``zeta_em`` evaluates with a proven remainder gauge.  The
 reported ``tail_bound`` is prefactor * (left gauge + right gauge) plus a
 fixed 1e-14 floating-point slack covering rounding of the compensated sum.
 
-``power_sum_fixed``, ``power_sum_zeta`` and ``power_sum_routes`` are each a
-straight composition of the same pieces, and none calls another:
-``_heads`` forms the m = 0 term |sinc(x)|^(2r), the m = -1 term
-|sinc(x - 1)|^(2r) and the prefactor (|sin(pi*x)|/pi)^(2r), each term in
-sinc's plain branch in line where it applies; ``_em_factors`` forms the
-eight Euler-Maclaurin factors, which depend on s alone; and ``_direct``
+``power_sum_fixed``, ``power_sum_zeta``, ``power_sum_routes`` and
+``power_sum_deriv`` are each a straight composition of the same pieces,
+and none calls another.  ``_sines`` forms sinc(x), sinc(x - 1) and
+sin(pi*x), signed, each sinc in its plain branch in line where it applies,
+and the prefactor (|sin(pi*x)|/pi)^(2r); ``_heads`` takes from it the
+m = 0 term |sinc(x)|^(2r), the m = -1 term |sinc(x - 1)|^(2r) and the
+prefactor, which is 0.0 where sin(pi*x) is.  ``_em_factors`` forms the
+eight Euler-Maclaurin factors, which depend on s alone, and ``_direct``
 and ``_closed_form`` finish each route, summing their Hurwitz zeta values
 with ``_zeta_em``.  ``_closed_form`` owns the endpoint rule: for x <= 0 or
 x >= 1 it returns the continuous value 1.  So ``power_sum_routes`` returns
 ``(*power_sum_fixed(r, x, m_terms), power_sum_zeta(r, x))`` bit for bit in
 one pass, for every input: it forms the heads and the prefactor once, and
 the four Hurwitz zeta sums, two tails and the closed form's pair, share
-one set of Euler-Maclaurin factors.
+one set of Euler-Maclaurin factors.  ``power_sum_deriv`` reads the sinc
+values, sin(pi*x) and the prefactor from ``_sines`` and adds only its own
+parts: ``dsinc``, cos(pi*x), ``_head_deriv`` and the prefactor's
+derivative.  Like ``_closed_form`` it sums the Hurwitz zeta pair at
+(1 + x, 2 - x) in line, at s and at s + 1: a helper shared by the two
+would add a Python call to every ``evaluate``.
 """
 
 import math
@@ -370,39 +377,51 @@ def _abs_sinc_pow(x: float, s: float) -> float:
         return math.inf  # s < 0, where C's exp gives inf
 
 
+def _sines(s: float, x: float) -> tuple[float, float, float, float]:
+    """sinc(x), sinc(x - 1) and sin(pi*x), signed, and the prefactor
+    (|sin(pi*x)|/pi)^s: what the m = 0 and m = -1 terms, the tails and
+    the derivative are built from.
+
+    Each sinc is ``sinc``'s plain branch in line where ``sinc`` takes it.
+    For sinc(x) that is 1e-4 <= x < 1, where x is no integer and the
+    quotient and the prefactor share one sin(pi*x).  For sinc(x - 1) it is
+    x >= 1e-9 and 1 - x >= 1e-4: below about 1.1e-16, x - 1 rounds to -1,
+    where sinc is exactly 0.  At sin(pi*x) = 0 the prefactor is C's
+    exp(s*(-inf)), which ``_heads`` replaces by 0.0.
+    """
+    t = PI * x
+    try:
+        sp = math.sin(t)
+    except ValueError:
+        sp = math.nan  # x = +-inf, where C's sin gives nan
+    u = sp / t if 1e-4 <= x < 1.0 else sinc(x)
+    if x >= 1e-9 and 1.0 - x >= 1e-4:
+        t = PI * (x - 1.0)
+        v = math.sin(t) / t
+    else:
+        v = sinc(x - 1.0)
+    try:
+        return u, v, sp, math.exp(s * (math.log(abs(sp)) - LOG_PI))
+    except ValueError:
+        return u, v, sp, math.exp(s * -math.inf)  # sp = 0, where C's log gives -inf
+    except OverflowError:
+        return u, v, sp, math.inf  # s < 0
+
+
 def _heads(s: float, x: float) -> tuple[float, float, float]:
     """The m = 0 term |sinc(x)|^s, the m = -1 term |sinc(x - 1)|^s and the
-    prefactor (|sin(pi*x)|/pi)^s, which both routes share.
+    prefactor, which both routes share, from ``_sines``; the prefactor is
+    0.0 where sin(pi*x) is.
 
-    Each term is ``sinc``'s plain branch in line where ``sinc`` takes it
-    and exp cannot overflow (s > 0).  For the m = 0 term that is
-    1e-4 <= x < 1, where x is no integer and the term and the prefactor
-    come from one sin(pi*x), which is positive there.  For the m = -1 term
-    it is x >= 1e-9 and 1 - x >= 1e-4: below about 1.1e-16, x - 1 rounds
-    to -1, where sinc is exactly 0.  Elsewhere each term comes from
-    ``_abs_sinc_pow``.  The prefactor is 0.0 where sin(pi*x) is.
+    Where log or exp raises (a sinc of 0, or an overflow for s < 0), both
+    terms come from ``_abs_sinc_pow``, which forms the same sinc values and
+    returns C's 0 and inf there.
     """
-    if s > 0.0 and x >= 1e-9 and 1.0 - x >= 1e-4:
-        t = PI * (x - 1.0)
-        neighbour = math.exp(s * math.log(abs(math.sin(t) / t)))
-    else:
-        neighbour = _abs_sinc_pow(x - 1.0, s)
-    if s > 0.0 and 1e-4 <= x < 1.0:
-        t = PI * x
-        sp = math.sin(t)
-        head = math.exp(s * math.log(abs(sp / t)))
-    else:
-        head = _abs_sinc_pow(x, s)
-        try:
-            sp = abs(math.sin(PI * x))
-        except ValueError:
-            sp = math.nan  # x = +-inf, where C's sin gives nan
-        if sp == 0.0:
-            return head, neighbour, 0.0
+    u, v, sp, pref = _sines(s, x)
     try:
-        return head, neighbour, math.exp(s * (math.log(sp) - LOG_PI))
-    except OverflowError:
-        return head, neighbour, math.inf  # s < 0
+        return math.exp(s * math.log(abs(u))), math.exp(s * math.log(abs(v))), pref if sp else 0.0
+    except (ValueError, OverflowError):
+        return _abs_sinc_pow(x, s), _abs_sinc_pow(x - 1.0, s), pref if sp else 0.0
 
 
 def _direct(
@@ -525,29 +544,22 @@ def _head_deriv(u: float, du: float, s: float) -> float:
 def power_sum_deriv(r: float, x: float) -> float:
     """d/dx of the power sum via the closed form, for x in (0,1).
 
-    Differentiates head + pref*(zeta(2r,1+x) + zeta(2r,2-x)) term by term:
-    the head uses d/dx u^s = s u^(s-1) u' with u = sinc, the prefactor
-    derivative is computed in log space so sin(pi x)^(2r-1) never overflows
-    or turns into 0 * inf, and d/da zeta(s,a) = -s zeta(s+1,a).
+    Differentiates head + pref*(zeta(2r,1+x) + zeta(2r,2-x)) term by term,
+    with the heads' sinc values and the prefactor from ``_sines``: the head
+    uses d/dx u^s = s u^(s-1) u' with u = sinc, the prefactor derivative is
+    computed in log space so sin(pi x)^(2r-1) never overflows or turns into
+    0 * inf, and d/da zeta(s,a) = -s zeta(s+1,a).
     """
     s = 2.0 * r
-    u = sinc(x)
-    du = dsinc(x)
-    v = sinc(x - 1.0)
-    dv = dsinc(x - 1.0)
-    d_head = _head_deriv(u, du, s) + _head_deriv(v, dv, s)
-
+    u, v, sp, pref = _sines(s, x)
+    d_head = _head_deriv(u, dsinc(x), s) + _head_deriv(v, dsinc(x - 1.0), s)
     try:
-        sp = math.sin(PI * x)
         cp = math.cos(PI * x)
     except ValueError:
-        sp = cp = math.nan  # x = +-inf, where C's sin and cos give nan
-    # C's log: -inf at x = 0, where pref and d_pref then vanish
+        cp = math.nan  # x = +-inf, where C's cos gives nan
+    # C's log: -inf at x = 0, where d_pref then vanishes for s > 1, and nan
+    # where sin(pi*x) < 0, outside [0, 1]
     lsp = math.log(sp) if sp > 0.0 else (-math.inf if sp == 0.0 else math.nan)
-    try:
-        pref = math.exp(s * (lsp - LOG_PI))
-    except OverflowError:
-        pref = math.inf  # s < 0
     try:
         d_pref = s * PI * cp * math.exp((s - 1.0) * lsp - s * LOG_PI)
     except OverflowError:

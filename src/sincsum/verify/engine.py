@@ -32,6 +32,10 @@ MIN_GRID_N = 16
 #: allocated, so a mistyped size fails at once instead of running for hours.
 MAX_GRID_N = 1 << 20
 
+#: Most trials the majorization check accepts.  At about 4 us a trial on the
+#: pure backend the cap takes about 7 minutes; more are refused at once.
+MAX_TRIALS = 10**8
+
 
 def _check_r(r: float) -> None:
     """The engine's one exponent rule: 1 <= r <= R_MAX (nan and inf fail it)."""
@@ -60,6 +64,8 @@ def _check_tol(tol: float) -> None:
 def _check_trials(trials: int) -> None:
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise SizeLimitError(f"{trials} trials exceed cap {MAX_TRIALS}")
 
 
 @dataclass(frozen=True)

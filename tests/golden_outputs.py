@@ -30,8 +30,8 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 _WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 #: The (r, x) points of the cross-backend eval step in
-#: ``.github/workflows/tests.yml``, as that step passes them to ``--r``/``--x``;
-#: keep the two lists the same.
+#: ``.github/workflows/tests.yml``, which reads them from here and passes them
+#: to ``--r``/``--x`` as written.
 CI_EVAL_POINTS = (
     ("3", "0.3"),
     ("2.5", "1e-12"),

@@ -235,16 +235,18 @@ class TestSelection:
         assert "unknown SINCSUM_BACKEND" in out.stderr
 
 
-# Points at and around the edges of the guards under which the pure twin
-# writes sinc's plain branch in line.  The direct route's central loop and
-# the m = -1 term of ``_heads`` take it where x >= 1e-9 and 1 - x >= 1e-4
-# (and s > 0): 1 - 1e-4 rounds to 0.9999, whose x - 1 is within 1e-4 of 0,
-# so the guard must not hold there, while its lower neighbour is the
-# largest x where it does.  Around 1e-4 the m = 0 term of ``_heads``
-# switches between sinc's Taylor branch and the plain branch whose
-# sin(pi*x) the prefactor shares.  0 and 1 are the closed form's endpoints.
+# Points at and around the edges of the guards under which the twins write
+# sinc's plain branch in line.  The pure twin's central loop (where s > 0)
+# and the sinc(x - 1) of ``_sines`` take it where x >= 1e-9 and
+# 1 - x >= 1e-4: 1 - 1e-4 rounds to 0.9999, whose x - 1 is within 1e-4 of
+# 0, so the guard must not hold there, while its lower neighbour is the
+# largest x where it does.  Around 1e-4 the sinc(x) of ``_sines``, which
+# the m = 0 term and the derivative read, switches between sinc's Taylor
+# branch and the plain branch whose sin(pi*x) the prefactor shares.  At
+# 1e-17, x - 1 rounds to -1, where sinc is exactly 0 and the plain branch
+# is not.  0 and 1 are the closed form's endpoints.
 _up = math.nextafter
-GUARD_X = [0.0, 5e-324, 1e-12, _up(1e-9, 0.0), 1e-9, _up(1e-9, 1.0)]
+GUARD_X = [0.0, 5e-324, 1e-17, 1e-12, _up(1e-9, 0.0), 1e-9, _up(1e-9, 1.0)]
 GUARD_X += [_up(1e-4, 0.0), 1e-4, _up(1e-4, 1.0), 0.5]
 GUARD_X += [_up(1.0 - 1e-4, 0.0), 1.0 - 1e-4, _up(1.0 - 1e-4, 1.0), 1.0 - 1e-16, 1.0]
 GUARD_X += [-3.5, 7.25]

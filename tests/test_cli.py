@@ -16,6 +16,7 @@ from sincsum.manifest import ManifestReport
 from sincsum.specfun import BERNOULLI_CAP
 from sincsum.verify.engine import (
     MAX_GRID_N,
+    MAX_TRIALS,
     check_grid_cap,
     majorization_property,
     verify_global_min,
@@ -259,16 +260,17 @@ class TestVerify:
         [
             ("--trials", "0", lambda: majorization_property(0, 0)),
             ("--trials", "-5", lambda: majorization_property(-5, 0)),
+            ("--trials", str(MAX_TRIALS + 1), lambda: majorization_property(MAX_TRIALS + 1, 0)),
             ("--grid", "15", lambda: verify_global_min(1.0, 15, 1e-10)),
             ("--tol", "0", lambda: verify_global_min(1.0, 1024, 0.0)),
             ("--tol", "-1e-9", lambda: verify_global_min(1.0, 1024, -1e-9)),
             ("--tol", "nan", lambda: verify_global_min(1.0, 1024, math.nan)),
             ("--tol", "inf", lambda: verify_global_min(1.0, 1024, math.inf)),
         ],
-        ids=["trials0", "trials-5", "grid15", "tol0", "tol-1e-9", "tolnan", "tolinf"],
+        ids=["trials0", "trials-5", "trials-above-cap", "grid15", "tol0", "tol-1e-9", "tolnan", "tolinf"],
     )
     def test_bad_flag_fails_before_any_check(self, monkeypatch, flag, value, library_error):
-        with pytest.raises(DomainError) as expected:
+        with pytest.raises((DomainError, SizeLimitError)) as expected:
             library_error()
 
         def must_not_run(*args, **kwargs):
