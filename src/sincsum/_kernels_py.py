@@ -60,7 +60,7 @@ and x + m stays 1e-4 below the next integer), and |x + m| >= 1e-4, the
 Taylor branch's threshold.  1 - x is exact for x >= 1/2, so the last
 condition is |x - 1| >= 1e-4 exactly; x <= 1 - 1e-4 would not be, since
 0.9999 - 1 is -9.9999999999989e-05.  Elsewhere the other loop takes each
-term from ``_abs_sinc_pow``.
+term from ``sinc`` and ``_abs_pow``.
 
 For m > M every term factors as (|sin(pi*x)|/pi)^(2r) * (m +- x)^(-2r), so
 each tail equals that prefactor times a Hurwitz zeta value at argument
@@ -366,9 +366,8 @@ _KEPT_OFFSETS = tuple(_central_offsets(_KEPT_M))
 _OFFSETS = tuple(_KEPT_OFFSETS[2 * (_KEPT_M - m):] for m in range(_KEPT_M + 1))
 
 
-def _abs_sinc_pow(x: float, s: float) -> float:
-    """|sinc(x)|^s via exp(s*log|sinc|); exactly 0 when sinc vanishes."""
-    u = sinc(x)
+def _abs_pow(u: float, s: float) -> float:
+    """|u|^s via exp(s*log|u|); exactly 0 when u is."""
     if u == 0.0:
         return 0.0
     try:
@@ -414,14 +413,13 @@ def _heads(s: float, x: float) -> tuple[float, float, float]:
     0.0 where sin(pi*x) is.
 
     Where log or exp raises (a sinc of 0, or an overflow for s < 0), both
-    terms come from ``_abs_sinc_pow``, which forms the same sinc values and
-    returns C's 0 and inf there.
+    terms come from ``_abs_pow``, which returns C's 0 and inf there.
     """
     u, v, sp, pref = _sines(s, x)
     try:
         return math.exp(s * math.log(abs(u))), math.exp(s * math.log(abs(v))), pref if sp else 0.0
     except (ValueError, OverflowError):
-        return _abs_sinc_pow(x, s), _abs_sinc_pow(x - 1.0, s), pref if sp else 0.0
+        return _abs_pow(u, s), _abs_pow(v, s), pref if sp else 0.0
 
 
 def _direct(
@@ -453,7 +451,7 @@ def _direct(
                 acc = t
     else:
         for o in offsets:
-            term = _abs_sinc_pow(x + o, s)
+            term = _abs_pow(sinc(x + o), s)
             if term:
                 y = term - c
                 t = acc + y

@@ -25,7 +25,6 @@ from sincsum._kernels_py import (
     FLOAT_SLACK,
     LOG_PI,
     PI,
-    _abs_sinc_pow,
     _em_pass_c,
     dsinc,
     sinc,
@@ -208,6 +207,18 @@ def zeta_em_reference(s: float, a: float) -> tuple[float, float]:
         return total + corr, _EM_NEXT * g
     except (OverflowError, ZeroDivisionError):
         return _em_pass_c(s, a)
+
+
+def _abs_sinc_pow(x: float, s: float) -> float:
+    """|sinc(x)|^s via exp(s*log|sinc|), exactly 0 when sinc vanishes, as
+    the pure twin first formed each term of the lattice sum."""
+    u = sinc(x)
+    if u == 0.0:
+        return 0.0
+    try:
+        return math.exp(s * math.log(abs(u)))
+    except OverflowError:
+        return math.inf  # s < 0, where C's exp gives inf
 
 
 def power_sum_fixed_reference(r: float, x: float, m_terms: int) -> tuple[float, float]:

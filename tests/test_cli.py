@@ -267,7 +267,9 @@ class TestVerify:
             ("--tol", "nan", lambda: verify_global_min(1.0, 1024, math.nan)),
             ("--tol", "inf", lambda: verify_global_min(1.0, 1024, math.inf)),
         ],
-        ids=["trials0", "trials-5", "trials-above-cap", "grid15", "tol0", "tol-1e-9", "tolnan", "tolinf"],
+        ids=[
+            "trials0", "trials-5", "trials-above-cap", "grid15", "tol0", "tol-1e-9", "tolnan", "tolinf"
+        ],
     )
     def test_bad_flag_fails_before_any_check(self, monkeypatch, flag, value, library_error):
         with pytest.raises((DomainError, SizeLimitError)) as expected:
