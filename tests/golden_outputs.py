@@ -52,12 +52,31 @@ CI_EVAL_POINTS = (
 )
 
 
-def verify(*argv: str) -> str:
-    """``sincsum verify`` with these flags: its report, which must pass."""
-    code, out, err = run_cli(["verify", *argv])
+#: The exact layer's outputs, each run with ``--format json``: the largest
+#: (``poly`` at r = 100, ``constants`` at the Bernoulli cap q = 2048), two
+#: constants past q = 50, where log zeta(q) is three fixed terms of its
+#: series, and q = 2.5, the one whose constant goes through ``zeta_em``.
+EXACT_ARGS = (
+    "poly --r 100",
+    "constants --q 2048",
+    "constants --q 60 --d 3",
+    "constants --q 1e6",
+    "constants --q 2.5",
+)
+
+
+def _cli(*argv: str) -> str:
+    """``sincsum`` with these arguments: what it prints, which must come
+    with exit code 0 and nothing on stderr."""
+    code, out, err = run_cli(list(argv))
     if (code, err) != (0, ""):
-        raise RuntimeError(f"verify {' '.join(argv)} exited {code}: {err}")
+        raise RuntimeError(f"{' '.join(argv)} exited {code}: {err}")
     return out
+
+
+def verify() -> str:
+    """The default ``sincsum verify`` report."""
+    return _cli("verify")
 
 
 def _figure_hex(grid: int) -> str:
@@ -100,7 +119,7 @@ def _sha256(text: str) -> str:
 
 def digests() -> str:
     lines = [
-        f"{_sha256(verify('--seed', '7', '--trials', '12345'))}  verify --seed 7 --trials 12345\n",
+        f"{_sha256(_cli('verify', '--seed', '7', '--trials', '12345'))}  verify --seed 7 --trials 12345\n",
         f"{_sha256(_figure_hex(1024))}  figure --grid 1024, float.hex\n",
     ]
     workloads = _workloads()
@@ -115,6 +134,9 @@ def digests() -> str:
     for r in GLOBAL_MIN_R:
         text = _deriv_hex(r, grid)
         lines.append(f"{_sha256(text)}  power_sum_deriv r={r!r} at i/{grid - 1}, float.hex\n")
+    for args in EXACT_ARGS:
+        text = _cli(*args.split(), "--format", "json")
+        lines.append(f"{_sha256(text)}  {args} --format json\n")
     return "".join(lines)
 
 
