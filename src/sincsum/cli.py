@@ -28,7 +28,7 @@ import json
 import sys
 
 from .constants import ConstantQuery, transference_factor
-from .core import EvalConfig, EvalPoint, power_sum
+from .core import EvalConfig, EvalPoint, _check_index, power_sum
 from .errors import DomainError, PrecisionError, SizeLimitError
 from .evaluate import evaluate
 from .exactpoly import R_CAP, poly_min_certificate, poly_route
@@ -210,8 +210,7 @@ def _figure_svg(curves) -> str:
 
 
 def cmd_figure(args) -> int:
-    if args.grid < 2:
-        raise DomainError(f"figure grid must be >= 2, got {args.grid}")
+    _check_index(args.grid, "figure grid", 2)
     check_grid_cap(args.grid)
     curves = _figure_rows(args.grid)
     if args.format == "svg":

@@ -27,8 +27,9 @@ from decimal import Decimal
 from fractions import Fraction
 
 from ._kernels_py import LOG_PI
+from .core import _check_index
 from .errors import DomainError
-from .specfun import BERNOULLI_CAP, _check_index, _tangent_table, hurwitz_zeta
+from .specfun import BERNOULLI_CAP, _tangent_table, hurwitz_zeta
 
 _LOG2 = math.log(2.0)
 

@@ -73,6 +73,15 @@ def _check_x(x: float) -> None:
         raise DomainError(f"x must lie in [0,1], got {x}")
 
 
+def _check_index(n: int, name: str, least: int) -> None:
+    """The one rule for counts and exact-table indices: an int, not a bool,
+    no less than ``least``."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise DomainError(f"{name} must be an integer, got {n!r}")
+    if n < least:
+        raise DomainError(f"{name} must be >= {least}, got {n}")
+
+
 @dataclass(frozen=True, init=False)
 class EvalPoint:
     """Exponent parameter r and evaluation point x in [0,1]."""

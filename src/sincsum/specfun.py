@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import backend
-from .core import EvalPoint
+from .core import EvalPoint, _check_index
 from .errors import DomainError, PrecisionError, SizeLimitError
 from .exactpoly import R_CAP
 
@@ -33,14 +33,6 @@ BERNOULLI_CAP = 2048
 
 _tangent_cache: tuple[int, ...] = ()
 _tangent_lock = threading.Lock()
-
-
-def _check_index(n: int, name: str, least: int) -> None:
-    """The rule for every exact-table index: an int, not a bool, no less than ``least``."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DomainError(f"{name} must be an integer, got {n!r}")
-    if n < least:
-        raise DomainError(f"{name} must be >= {least}, got {n}")
 
 
 def _check_bernoulli_cap(n_max: int) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from .. import backend
-from ..core import DEFAULT_CONFIG, R_MAX, _check_x, select_m_terms
+from ..core import DEFAULT_CONFIG, R_MAX, _check_index, _check_x, select_m_terms
 from ..errors import DomainError, SizeLimitError
 from .corpus import THRESHOLD
 
@@ -50,8 +50,7 @@ def check_grid_cap(grid_n: int) -> None:
 
 
 def _check_grid(grid_n: int) -> None:
-    if grid_n < MIN_GRID_N:
-        raise DomainError(f"grid_n must be >= {MIN_GRID_N}, got {grid_n}")
+    _check_index(grid_n, "grid_n", MIN_GRID_N)
     check_grid_cap(grid_n)
 
 
@@ -62,8 +61,7 @@ def _check_tol(tol: float) -> None:
 
 
 def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    _check_index(trials, "trials", 1)
     if trials > MAX_TRIALS:
         raise SizeLimitError(f"{trials} trials exceed cap {MAX_TRIALS}")
 

@@ -67,9 +67,12 @@ class TestGlobalMin:
         assert rep.status == "inconclusive"
         assert "rigor floor" in rep.note
 
-    def test_validation(self):
+    @pytest.mark.parametrize("grid_n", [8, 16.5])
+    def test_validation(self, grid_n):
         with pytest.raises(DomainError):
-            verify_global_min(2.0, grid_n=8, tol=1e-9)
+            verify_global_min(2.0, grid_n=grid_n, tol=1e-9)
+        with pytest.raises(DomainError):
+            SuiteConfig(grid=grid_n)
 
     @pytest.mark.parametrize("r", BAD_R)
     def test_r_outside_the_claim(self, r):
@@ -167,9 +170,12 @@ class TestMajorization:
         rep = majorization_property(50, seed=seed)
         assert rep.violations == 0
 
-    def test_validation(self):
+    @pytest.mark.parametrize("trials", [0, 2.5, True])
+    def test_validation(self, trials):
         with pytest.raises(DomainError):
-            majorization_property(0, seed=1)
+            majorization_property(trials, seed=1)
+        with pytest.raises(DomainError):
+            SuiteConfig(trials=trials)
 
     @pytest.mark.parametrize("seed", [0, 1, 5, 42, 2**40 + 3])
     @pytest.mark.parametrize("trials", [1, 7, 2000])
