@@ -18,7 +18,10 @@
  * once.  power_sum_deriv adds to sines and hurwitz_pair only its own parts:
  * dsinc, cos(pi*x), head_deriv and the prefactor's derivative.
  * Keep the two files in lockstep: tests/test_backends.py compares them for
- * exact equality.  Both call the platform libm (sin, cos, exp, log, pow), and
+ * exact equality.  A nan is the exception: the twins return a nan for the
+ * same inputs, but not the same nan bits.  The sign and payload of a nan
+ * are set by the platform (x86's default NaN is negative, AArch64's
+ * positive), and the pure twin substitutes math.nan where Python raises.  Both call the platform libm (sin, cos, exp, log, pow), and
  * contraction into fused multiply-adds is switched off below, so every
  * operation rounds exactly as the matching Python float operation does.
  */
@@ -148,21 +151,23 @@ abs_pow(double u, double s)
     return u == 0.0 ? 0.0 : exp(s * log(fabs(u)));
 }
 
-/* sinc(x), signed; *v gets sinc(x - 1) and *sp sin(pi*x), signed, and *pref
- * the prefactor (|sin(pi*x)|/pi)^s, which is exp(s*(-inf)) where sin(pi*x)
- * is 0.  Each sinc is sinc_d's plain branch in line where sinc_d takes it:
- * 1e-4 <= x < 1 for sinc(x), which then shares sin(pi*x) with *sp, and
- * x >= 1e-9 and 1 - x >= 1e-4 for sinc(x - 1).  The lattice-sum kernels
- * and the derivative take these from here. */
+/* sinc(x), signed; *v gets sinc(x - 1) and *sp sin(pi*x), signed, *ls
+ * log|sin(pi*x)| and *pref the prefactor (|sin(pi*x)|/pi)^s, which is
+ * exp(s*(-inf)) where sin(pi*x) is 0.  Each sinc is sinc_d's plain branch
+ * in line where sinc_d takes it: 1e-4 <= x < 1 for sinc(x), which then
+ * shares sin(pi*x) with *sp, and x >= 1e-9 and 1 - x >= 1e-4 for
+ * sinc(x - 1).  The lattice-sum kernels and the derivative take these from
+ * here. */
 static double
-sines(double s, double x, double *v, double *sp, double *pref)
+sines(double s, double x, double *v, double *sp, double *ls, double *pref)
 {
     double t = PI * x, u;
     *sp = sin(t);
     u = 1e-4 <= x && x < 1.0 ? *sp / t : sinc_d(x);
     t = PI * (x - 1.0);
     *v = x >= 1e-9 && 1.0 - x >= 1e-4 ? sin(t) / t : sinc_d(x - 1.0);
-    *pref = exp(s * (log(fabs(*sp)) - LOG_PI));
+    *ls = log(fabs(*sp));
+    *pref = exp(s * (*ls - LOG_PI));
     return u;
 }
 
@@ -172,7 +177,7 @@ sines(double s, double x, double *v, double *sp, double *pref)
 static double
 heads(double s, double x, double *neighbour, double *pref)
 {
-    double v, sp, u = sines(s, x, &v, &sp, pref);
+    double v, sp, ls, u = sines(s, x, &v, &sp, &ls, pref);
     *pref = sp == 0.0 ? 0.0 : *pref;
     *neighbour = abs_pow(v, s);
     return abs_pow(u, s);
@@ -280,13 +285,16 @@ head_deriv(double u, double du, double s)
     return s * exp((s - 1.0) * log(u)) * du;
 }
 
-/* d/dx of the closed form, with sines' sinc values and prefactor. */
+/* d/dx of the closed form, with sines' sinc values, log and prefactor; the
+ * log of sin(pi*x) is sines' log|sin(pi*x)| where sin(pi*x) > 0, and log's
+ * own -inf or nan elsewhere. */
 static double
 power_sum_deriv_d(double r, double x)
 {
-    double s = 2.0 * r, v, sp, pref, u = sines(s, x, &v, &sp, &pref);
+    double s = 2.0 * r, v, sp, ls, pref, u = sines(s, x, &v, &sp, &ls, &pref);
     double d_head = head_deriv(u, dsinc_d(x), s) + head_deriv(v, dsinc_d(x - 1.0), s);
-    double d_pref = s * PI * cos(PI * x) * exp((s - 1.0) * log(sp) - s * LOG_PI);
+    double d_pref = s * PI * cos(PI * x)
+                    * exp((s - 1.0) * (sp > 0.0 ? ls : log(sp)) - s * LOG_PI);
     double f[8], z[2], dz[2];
     em_factors(s, f);
     hurwitz_pair(s, x, f, z);

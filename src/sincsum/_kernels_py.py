@@ -5,7 +5,11 @@ twin ``sincsum._kernels_c``, built from ``_kernels_c.c``); ``sincsum.backend``
 picks one at import time.  Everything here is a plain function of floats with
 no package dependencies.  The twin contract is the same floating-point
 operations in the same order, so both return the same floats bit for bit;
-the loops need not match statement for statement.  The direct route's
+the loops need not match statement for statement.  A nan is the exception:
+the twins return a nan for the same inputs, but not the same nan bits.
+The sign and payload of a nan are set by the platform (x86's default NaN
+is negative, AArch64's positive), and this module substitutes
+``math.nan`` where Python raises and C returns a nan.  The direct route's
 central block is one of two plain loops, picked once per call: one writes
 ``sinc``'s plain branch in line, for the inputs where that branch applies
 to every term (see the ``power_sum_fixed`` paragraph below), and the other
@@ -376,17 +380,17 @@ def _abs_pow(u: float, s: float) -> float:
         return math.inf  # s < 0, where C's exp gives inf
 
 
-def _sines(s: float, x: float) -> tuple[float, float, float, float]:
-    """sinc(x), sinc(x - 1) and sin(pi*x), signed, and the prefactor
-    (|sin(pi*x)|/pi)^s: what the m = 0 and m = -1 terms, the tails and
-    the derivative are built from.
+def _sines(s: float, x: float) -> tuple[float, float, float, float, float]:
+    """sinc(x), sinc(x - 1) and sin(pi*x), signed, the prefactor
+    (|sin(pi*x)|/pi)^s and log|sin(pi*x)|: what the m = 0 and m = -1
+    terms, the tails and the derivative are built from.
 
     Each sinc is ``sinc``'s plain branch in line where ``sinc`` takes it.
     For sinc(x) that is 1e-4 <= x < 1, where x is no integer and the
     quotient and the prefactor share one sin(pi*x).  For sinc(x - 1) it is
     x >= 1e-9 and 1 - x >= 1e-4: below about 1.1e-16, x - 1 rounds to -1,
     where sinc is exactly 0.  At sin(pi*x) = 0 the prefactor is C's
-    exp(s*(-inf)), which ``_heads`` replaces by 0.0.
+    exp(s*(-inf)), which ``_heads`` replaces by 0.0, and the log is -inf.
     """
     t = PI * x
     try:
@@ -400,11 +404,12 @@ def _sines(s: float, x: float) -> tuple[float, float, float, float]:
     else:
         v = sinc(x - 1.0)
     try:
-        return u, v, sp, math.exp(s * (math.log(abs(sp)) - LOG_PI))
+        ls = math.log(abs(sp))
+        return u, v, sp, math.exp(s * (ls - LOG_PI)), ls
     except ValueError:
-        return u, v, sp, math.exp(s * -math.inf)  # sp = 0, where C's log gives -inf
+        return u, v, sp, math.exp(s * -math.inf), -math.inf  # sp = 0, where C's log gives -inf
     except OverflowError:
-        return u, v, sp, math.inf  # s < 0
+        return u, v, sp, math.inf, ls  # s < 0
 
 
 def _heads(s: float, x: float) -> tuple[float, float, float]:
@@ -415,7 +420,7 @@ def _heads(s: float, x: float) -> tuple[float, float, float]:
     Where log or exp raises (a sinc of 0, or an overflow for s < 0), both
     terms come from ``_abs_pow``, which returns C's 0 and inf there.
     """
-    u, v, sp, pref = _sines(s, x)
+    u, v, sp, pref, _ = _sines(s, x)
     try:
         return math.exp(s * math.log(abs(u))), math.exp(s * math.log(abs(v))), pref if sp else 0.0
     except (ValueError, OverflowError):
@@ -549,17 +554,17 @@ def power_sum_deriv(r: float, x: float) -> float:
     0 * inf, and d/da zeta(s,a) = -s zeta(s+1,a).
     """
     s = 2.0 * r
-    u, v, sp, pref = _sines(s, x)
+    u, v, sp, pref, ls = _sines(s, x)
     d_head = _head_deriv(u, dsinc(x), s) + _head_deriv(v, dsinc(x - 1.0), s)
     try:
         cp = math.cos(PI * x)
     except ValueError:
         cp = math.nan  # x = +-inf, where C's cos gives nan
-    # C's log: -inf at x = 0, where d_pref then vanishes for s > 1, and nan
-    # where sin(pi*x) < 0, outside [0, 1]
-    lsp = math.log(sp) if sp > 0.0 else (-math.inf if sp == 0.0 else math.nan)
+    # log sin(pi*x) is _sines' log|sin(pi*x)| where sin(pi*x) >= 0: -inf at
+    # x = 0, where d_pref then vanishes for s > 1; C's log gives nan where
+    # sin(pi*x) < 0, outside [0, 1]
     try:
-        d_pref = s * PI * cp * math.exp((s - 1.0) * lsp - s * LOG_PI)
+        d_pref = s * PI * cp * math.exp((s - 1.0) * (ls if sp >= 0.0 else math.nan) - s * LOG_PI)
     except OverflowError:
         d_pref = s * PI * cp * math.inf
 
