@@ -21,9 +21,10 @@
  * exact equality.  A nan is the exception: the twins return a nan for the
  * same inputs, but not the same nan bits.  The sign and payload of a nan
  * are set by the platform (x86's default NaN is negative, AArch64's
- * positive), and the pure twin substitutes math.nan where Python raises.  Both call the platform libm (sin, cos, exp, log, pow), and
- * contraction into fused multiply-adds is switched off below, so every
- * operation rounds exactly as the matching Python float operation does.
+ * positive), and the pure twin substitutes math.nan where Python raises.
+ * Both call the platform libm (sin, cos, exp, log, pow), and contraction
+ * into fused multiply-adds is switched off below, so every operation
+ * rounds exactly as the matching Python float operation does.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

@@ -365,7 +365,6 @@ class TestRoutesPass:
             assert _same(_routes_reference(r, x, m), got), (r, x, m)
 
 
-
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
 class TestOpenDefects:
     def test_tail_bound_covers_the_error_at_large_r(self, twin_kernels, monkeypatch):

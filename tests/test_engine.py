@@ -67,12 +67,12 @@ class TestGlobalMin:
         assert rep.status == "inconclusive"
         assert "rigor floor" in rep.note
 
-    @pytest.mark.parametrize("grid_n", [8, 16.5])
-    def test_validation(self, grid_n):
-        with pytest.raises(DomainError):
-            verify_global_min(2.0, grid_n=grid_n, tol=1e-9)
-        with pytest.raises(DomainError):
-            SuiteConfig(grid=grid_n)
+    def test_validation(self):
+        for grid_n in (8, 16.5):
+            with pytest.raises(DomainError):
+                verify_global_min(2.0, grid_n=grid_n, tol=1e-9)
+            with pytest.raises(DomainError):
+                SuiteConfig(grid=grid_n)
 
     @pytest.mark.parametrize("r", BAD_R)
     def test_r_outside_the_claim(self, r):
@@ -170,12 +170,12 @@ class TestMajorization:
         rep = majorization_property(50, seed=seed)
         assert rep.violations == 0
 
-    @pytest.mark.parametrize("trials", [0, 2.5, True])
-    def test_validation(self, trials):
-        with pytest.raises(DomainError):
-            majorization_property(trials, seed=1)
-        with pytest.raises(DomainError):
-            SuiteConfig(trials=trials)
+    def test_validation(self):
+        for trials in (0, 2.5, True):
+            with pytest.raises(DomainError):
+                majorization_property(trials, seed=1)
+            with pytest.raises(DomainError):
+                SuiteConfig(trials=trials)
 
     @pytest.mark.parametrize("seed", [0, 1, 5, 42, 2**40 + 3])
     @pytest.mark.parametrize("trials", [1, 7, 2000])
