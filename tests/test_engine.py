@@ -23,6 +23,31 @@ from sincsum.verify.suite import GLOBAL_MIN_R, PROOF_CHAIN_X, SuiteConfig, run_s
 BAD_R = (math.nan, math.inf, math.nextafter(R_MAX, math.inf), 0.9)
 
 
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify_global_min(2.0, grid_n=16.5, tol=1e-10),
+        lambda: SuiteConfig(grid=16.5),
+        lambda: majorization_property(2.5, seed=0),
+        lambda: majorization_property(True, seed=0),
+        lambda: SuiteConfig(trials=2.5),
+        lambda: SuiteConfig(trials=True),
+    ],
+    ids=[
+        "global-min-grid-16.5",
+        "suite-grid-16.5",
+        "majorization-trials-2.5",
+        "majorization-trials-True",
+        "suite-trials-2.5",
+        "suite-trials-True",
+    ],
+)
+def test_counts_must_be_ints(call):
+    # a float count raised a raw TypeError or failed later, and True ran one trial
+    with pytest.raises(DomainError, match="must be an integer"):
+        call()
+
 class TestGlobalMin:
     def test_r2_minimum_is_one_third(self):
         rep = verify_global_min(2.0, grid_n=512, tol=1e-9)
@@ -68,11 +93,10 @@ class TestGlobalMin:
         assert "rigor floor" in rep.note
 
     def test_validation(self):
-        for grid_n in (8, 16.5):
-            with pytest.raises(DomainError):
-                verify_global_min(2.0, grid_n=grid_n, tol=1e-9)
-            with pytest.raises(DomainError):
-                SuiteConfig(grid=grid_n)
+        with pytest.raises(DomainError):
+            verify_global_min(2.0, grid_n=8, tol=1e-9)
+        with pytest.raises(DomainError):
+            SuiteConfig(grid=8)
 
     @pytest.mark.parametrize("r", BAD_R)
     def test_r_outside_the_claim(self, r):
@@ -171,11 +195,10 @@ class TestMajorization:
         assert rep.violations == 0
 
     def test_validation(self):
-        for trials in (0, 2.5, True):
-            with pytest.raises(DomainError):
-                majorization_property(trials, seed=1)
-            with pytest.raises(DomainError):
-                SuiteConfig(trials=trials)
+        with pytest.raises(DomainError):
+            majorization_property(0, seed=1)
+        with pytest.raises(DomainError):
+            SuiteConfig(trials=0)
 
     @pytest.mark.parametrize("seed", [0, 1, 5, 42, 2**40 + 3])
     @pytest.mark.parametrize("trials", [1, 7, 2000])
