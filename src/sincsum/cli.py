@@ -28,11 +28,11 @@ import json
 import sys
 
 from .constants import ConstantQuery, transference_factor
-from .core import EvalConfig, EvalPoint, _check_index, power_sum
+from .core import EvalConfig, EvalPoint, _check_index, check_grid_cap, power_sum
 from .errors import DomainError, PrecisionError, SizeLimitError
 from .evaluate import evaluate
 from .exactpoly import R_CAP, poly_min_certificate, poly_route
-from .verify.engine import check_grid_cap
+from .verify.engine import GRID_TOL
 from .verify.suite import SuiteConfig, run_suite
 
 #: Exponents k of the figure curves r = 1.02^k.
@@ -125,12 +125,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = SuiteConfig(
-        grid=args.grid,
-        tol=args.tol,
-        seed=args.seed,
-        trials=args.trials,
-    )
+    cfg = SuiteConfig(grid=args.grid, seed=args.seed, trials=args.trials)
     results = run_suite(cfg)
     statuses = {c.status for c in results}
     if statuses & {"violated", "failed"}:
@@ -142,7 +137,7 @@ def cmd_verify(args) -> int:
     payload = {
         "schema": "sincsum-verification-report/1",
         "grid": cfg.grid,
-        "tol": cfg.tol,
+        "tol": GRID_TOL,
         "seed": cfg.seed,
         "trials": cfg.trials,
         "passed": code == EXIT_OK,
@@ -253,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the certification suite")
     p_verify.add_argument("--grid", type=int, default=SuiteConfig.grid)
-    p_verify.add_argument("--tol", type=float, default=SuiteConfig.tol)
     p_verify.add_argument("--seed", type=int, default=SuiteConfig.seed)
     p_verify.add_argument("--trials", type=int, default=SuiteConfig.trials)
     p_verify.add_argument(

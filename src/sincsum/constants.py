@@ -27,7 +27,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from ._kernels_py import LOG_PI
-from .core import _check_index
+from .core import _check_index, _isfinite
 from .errors import DomainError
 from .specfun import BERNOULLI_CAP, _tangent_table, hurwitz_zeta
 
@@ -97,7 +97,7 @@ def _log_zeta(q: float) -> float:
 
 
 def _check_q(q: float) -> None:
-    if not math.isfinite(q) or q < 2.0:
+    if not _isfinite(q, "q") or q < 2.0:
         raise DomainError(f"q must be a finite number >= 2, got {q}")
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from . import backend
 from ._kernels_py import _EM_COEF, LOG_PI
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, SizeLimitError
 
 #: Smallest admissible exponent parameter.  The sum diverges at r = 1/2;
 #: the hard floor keeps callers away from the silent precision loss just
@@ -49,6 +49,11 @@ M_FLOOR = 8
 #: Absolute floor of any reported tail bound (floating-point slack).
 TOL_FLOOR = backend.FLOAT_SLACK
 
+#: Most points any grid accepts: verify's global-minimum grid and the
+#: figure's curves alike.  A larger grid is refused before anything is
+#: allocated, so a mistyped size fails at once instead of running for hours.
+MAX_GRID_N = 1 << 20
+
 
 @dataclass(frozen=True, init=False)
 class EvalConfig:
@@ -61,15 +66,30 @@ class EvalConfig:
     # and then call __post_init__.  ``target_tol`` in the signature is the
     # field's default above, read from the class body.
     def __init__(self, target_tol: float = target_tol):
-        if not 0.0 < target_tol < math.inf:  # nan fails it too
-            raise DomainError(f"target_tol must be positive, got {target_tol}")
+        try:
+            if not 0.0 < target_tol < math.inf:  # nan fails it too
+                raise DomainError(f"target_tol must be positive, got {target_tol}")
+        except TypeError:  # free where nothing is raised, unlike an isinstance test
+            _isfinite(target_tol, "target_tol")  # raises for a non-number
+            raise
         self.__dict__["target_tol"] = target_tol
+
+
+def _isfinite(value, name: str) -> bool:
+    """math.isfinite(value), except that a non-number, where math.isfinite
+    raises TypeError, raises DomainError naming ``name``.  Each owner of a
+    numeric range rule calls it before its comparison, or on the TypeError
+    that the comparison raises."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None
 
 
 def _check_x(x: float) -> None:
     """The one rule for evaluation points: 0 <= x <= 1.  Per-point paths
     test it in line and call this only to raise, saving a call per point."""
-    if not 0.0 <= x <= 1.0:
+    if not (_isfinite(x, "x") and 0.0 <= x <= 1.0):
         raise DomainError(f"x must lie in [0,1], got {x}")
 
 
@@ -82,6 +102,12 @@ def _check_index(n: int, name: str, least: int) -> None:
         raise DomainError(f"{name} must be >= {least}, got {n}")
 
 
+def check_grid_cap(grid_n: int) -> None:
+    """Refuse a grid of more than MAX_GRID_N points with SizeLimitError."""
+    if grid_n > MAX_GRID_N:
+        raise SizeLimitError(f"grid of {grid_n} points exceeds cap {MAX_GRID_N}")
+
+
 @dataclass(frozen=True, init=False)
 class EvalPoint:
     """Exponent parameter r and evaluation point x in [0,1]."""
@@ -90,15 +116,22 @@ class EvalPoint:
     x: float
 
     def __init__(self, r: float, x: float):
-        if not (R_MIN < r <= R_MAX and 0.0 <= x <= 1.0):
-            # an invalid point: the checks below only pick the message
-            if not math.isfinite(r) or not math.isfinite(x):
-                raise DomainError(f"non-finite evaluation point ({r}, {x})")
-            if r <= R_MIN:
-                raise DomainError(f"r must exceed {R_MIN} (sum diverges at 1/2), got {r}")
-            if r > R_MAX:
-                raise DomainError(f"r must be at most {R_MAX} (2r*pi overflows), got {r}")
-            _check_x(x)
+        try:
+            if not (R_MIN < r <= R_MAX and 0.0 <= x <= 1.0):
+                # an invalid point: the checks below only pick the message;
+                # & calls isfinite on both, so a non-number x beside a nan r
+                # still raises TypeError
+                if not (math.isfinite(r) & math.isfinite(x)):
+                    raise DomainError(f"non-finite evaluation point ({r}, {x})")
+                if r <= R_MIN:
+                    raise DomainError(f"r must exceed {R_MIN} (sum diverges at 1/2), got {r}")
+                if r > R_MAX:
+                    raise DomainError(f"r must be at most {R_MAX} (2r*pi overflows), got {r}")
+                _check_x(x)
+        except TypeError:  # a non-number; free where nothing is raised
+            _isfinite(r, "r")
+            _isfinite(x, "x")
+            raise
         fields = self.__dict__
         fields["r"] = r
         fields["x"] = x

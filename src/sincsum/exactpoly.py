@@ -152,7 +152,10 @@ def _check_invariants(r: int, q: list[int], scale: int) -> None:
 
 def poly_eval(p: SincPolynomial, x: float) -> float:
     """Horner evaluation at y = cos^2(pi x), coefficients floated once."""
-    if not 0.0 <= x <= 1.0:
+    try:
+        if not 0.0 <= x <= 1.0:
+            _check_x(x)
+    except TypeError:  # a non-number, which _check_x names; free where nothing is raised
         _check_x(x)
     cp = math.cos(math.pi * x)
     y = cp * cp

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import backend
-from .core import EvalPoint, _check_index
+from .core import EvalPoint, _check_index, _isfinite
 from .errors import DomainError, PrecisionError, SizeLimitError
 from .exactpoly import R_CAP
 
@@ -120,9 +120,9 @@ def zeta_even(n: int) -> ZetaEvenValue:
 
 def hurwitz_zeta(s: float, a: float) -> float:
     """sum_{k>=0} (k+a)^(-s) for s > 1 + 1e-9 and a in (0, 2]."""
-    if not math.isfinite(s) or s <= 1.0 + 1e-9:
+    if not _isfinite(s, "s") or s <= 1.0 + 1e-9:
         raise DomainError(f"s must exceed 1 + 1e-9 (pole at 1), got {s}")
-    if not 0.0 < a <= 2.0:
+    if not (_isfinite(a, "a") and 0.0 < a <= 2.0):
         raise DomainError(f"a must lie in (0, 2], got {a}")
     value, gauge = backend.zeta_em(s, a)
     if not math.isfinite(value):

@@ -6,7 +6,7 @@ from .certify import EPS_CERT, CertifiedInequality, certify
 from .corpus import THRESHOLD, corpus, quartic_coefficient_margin
 from .engine import (
     ANTISYM_TOL,
-    RIGOR_FLOOR,
+    GRID_TOL,
     GlobalMinReport,
     MajorizationReport,
     ProofChainWitness,
@@ -20,7 +20,7 @@ from .suite import CheckResult, SuiteConfig, run_suite
 __all__ = [
     "ANTISYM_TOL",
     "EPS_CERT",
-    "RIGOR_FLOOR",
+    "GRID_TOL",
     "THRESHOLD",
     "CertifiedInequality",
     "CheckResult",

@@ -17,11 +17,11 @@ import math
 import time
 from dataclasses import astuple, dataclass
 
+from ..core import _check_index
 from .certify import certify
 from .corpus import corpus, quartic_coefficient_margin
 from .engine import (
     _check_grid,
-    _check_tol,
     _check_trials,
     majorization_property,
     proof_chain,
@@ -64,7 +64,6 @@ class CheckResult:
 @dataclass(frozen=True)
 class SuiteConfig:
     grid: int = 1024
-    tol: float = 1e-10
     seed: int = 0
     trials: int = 100_000
 
@@ -72,7 +71,7 @@ class SuiteConfig:
         # the checks' own rules, so a bad flag fails before any check runs
         _check_trials(self.trials)
         _check_grid(self.grid)
-        _check_tol(self.tol)
+        _check_index(self.seed, "seed", 0)
 
 
 def _finite_or_none(v) -> float | None:
@@ -232,7 +231,7 @@ def _other_checks(cfg: SuiteConfig) -> list[CheckResult]:
 
     for r in GLOBAL_MIN_R:
         t0 = time.perf_counter()
-        rep = verify_global_min(r, grid_n=cfg.grid, tol=cfg.tol)
+        rep = verify_global_min(r, grid_n=cfg.grid)
         results.append(
             CheckResult(
                 check_id=f"globalmin_r{rep.r:.6g}",

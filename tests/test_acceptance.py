@@ -101,7 +101,7 @@ def test_criterion_03_constant_cross_check():
 def test_criterion_04_minimum_certification():
     with _Budget("criterion 4: global minimum (grid + exact certificates)", 30.0):
         for r in (1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 8.0, 1.02**256):
-            rep = verify_global_min(r, grid_n=4096, tol=1e-9)
+            rep = verify_global_min(r, grid_n=4096)
             assert rep.status == "passed", (r, rep)
         for r in range(1, 51):
             value, statement = poly_min_certificate(poly_f(r))

@@ -11,15 +11,10 @@ import pytest
 
 from helpers import run_cli
 from sincsum import DomainError, EvalConfig, SizeLimitError, cli, exact_min_constant, manifest
+from sincsum.core import MAX_GRID_N, check_grid_cap
 from sincsum.manifest import ManifestReport
 from sincsum.specfun import BERNOULLI_CAP
-from sincsum.verify.engine import (
-    MAX_GRID_N,
-    MAX_TRIALS,
-    check_grid_cap,
-    majorization_property,
-    verify_global_min,
-)
+from sincsum.verify.engine import MAX_TRIALS, majorization_property, verify_global_min
 from sincsum.verify.suite import CheckResult, SuiteConfig
 
 
@@ -51,7 +46,11 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "argv",
-        [["eval", "--r", "2", "--x", "0.3", "--max-terms", "9"], ["verify", "--max-depth", "40"]],
+        [
+            ["eval", "--r", "2", "--x", "0.3", "--max-terms", "9"],
+            ["verify", "--max-depth", "40"],
+            ["verify", "--tol", "1e-10"],
+        ],
     )
     def test_retired_flags_are_rejected(self, argv):
         # argparse exits 2 on an unknown flag
@@ -214,29 +213,17 @@ class TestVerify:
         _, out2, _ = run_cli(args)
         assert out1 == out2
 
-    def test_unreachable_tolerance_inconclusive(self):
-        code, out, _ = run_cli(
-            ["verify", "--grid", "64", "--trials", "100", "--tol", "1e-30"]
-        )
-        assert code == 2
-        statuses = {c["status"] for c in json.loads(out)["checks"]}
-        assert "inconclusive" in statuses
-
     @pytest.mark.parametrize(
         "flag, value, library_error",
         [
             ("--trials", "0", lambda: majorization_property(0, 0)),
             ("--trials", "-5", lambda: majorization_property(-5, 0)),
             ("--trials", str(MAX_TRIALS + 1), lambda: majorization_property(MAX_TRIALS + 1, 0)),
-            ("--grid", "15", lambda: verify_global_min(1.0, 15, 1e-10)),
-            ("--tol", "0", lambda: verify_global_min(1.0, 1024, 0.0)),
-            ("--tol", "-1e-9", lambda: verify_global_min(1.0, 1024, -1e-9)),
-            ("--tol", "nan", lambda: verify_global_min(1.0, 1024, math.nan)),
-            ("--tol", "inf", lambda: verify_global_min(1.0, 1024, math.inf)),
+            ("--grid", "15", lambda: verify_global_min(1.0, 15)),
+            # random.seed drops the sign, so -3 would draw seed 3's stream
+            ("--seed", "-3", lambda: majorization_property(1, -3)),
         ],
-        ids=[
-            "trials0", "trials-5", "trials-above-cap", "grid15", "tol0", "tol-1e-9", "tolnan", "tolinf"
-        ],
+        ids=["trials0", "trials-5", "trials-above-cap", "grid15", "seed-3"],
     )
     def test_bad_flag_fails_before_any_check(self, monkeypatch, flag, value, library_error):
         with pytest.raises((DomainError, SizeLimitError)) as expected:
@@ -255,7 +242,7 @@ class TestVerify:
     def test_grid_above_the_cap_is_refused_at_once(self, monkeypatch):
         huge = 10**20
         with pytest.raises(SizeLimitError) as expected:
-            verify_global_min(1.0, huge, 1e-10)
+            verify_global_min(1.0, huge)
         SuiteConfig(grid=MAX_GRID_N)
         with pytest.raises(SizeLimitError):
             SuiteConfig(grid=MAX_GRID_N + 1)

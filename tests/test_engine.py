@@ -12,6 +12,7 @@ from sincsum import DomainError, EvalPoint, backend, exactpoly, power_sum
 from sincsum.core import R_MAX
 from sincsum.verify.engine import (
     ANTISYM_TOL,
+    GRID_TOL,
     THRESHOLD,
     majorization_property,
     proof_chain,
@@ -19,20 +20,24 @@ from sincsum.verify.engine import (
 )
 from sincsum.verify.suite import GLOBAL_MIN_R, PROOF_CHAIN_X, SuiteConfig, run_suite
 
-#: Exponents outside the engine's 1 <= r <= R_MAX.
-BAD_R = (math.nan, math.inf, math.nextafter(R_MAX, math.inf), 0.9)
-
+#: Exponents outside the engine's 1 <= r <= R_MAX, and a non-number.
+BAD_R = (math.nan, math.inf, math.nextafter(R_MAX, math.inf), 0.9, "2")
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: verify_global_min(2.0, grid_n=16.5, tol=1e-10),
+        lambda: verify_global_min(2.0, grid_n=16.5),
         lambda: SuiteConfig(grid=16.5),
         lambda: majorization_property(2.5, seed=0),
         lambda: majorization_property(True, seed=0),
         lambda: SuiteConfig(trials=2.5),
         lambda: SuiteConfig(trials=True),
+        lambda: majorization_property(10, 1.5),
+        lambda: majorization_property(10, True),
+        lambda: majorization_property(10, None),
+        lambda: SuiteConfig(seed=-3.25),
+        lambda: SuiteConfig(seed="a"),
     ],
     ids=[
         "global-min-grid-16.5",
@@ -41,16 +46,23 @@ BAD_R = (math.nan, math.inf, math.nextafter(R_MAX, math.inf), 0.9)
         "majorization-trials-True",
         "suite-trials-2.5",
         "suite-trials-True",
+        "majorization-seed-1.5",
+        "majorization-seed-True",
+        "majorization-seed-None",
+        "suite-seed--3.25",
+        "suite-seed-a",
     ],
 )
 def test_counts_must_be_ints(call):
-    # a float count raised a raw TypeError or failed later, and True ran one trial
+    # a float count raised a raw TypeError or failed later, and True ran one trial;
+    # random.Random hashes a float seed, takes True as 1 and None as OS entropy
     with pytest.raises(DomainError, match="must be an integer"):
         call()
 
+
 class TestGlobalMin:
     def test_r2_minimum_is_one_third(self):
-        rep = verify_global_min(2.0, grid_n=512, tol=1e-9)
+        rep = verify_global_min(2.0, grid_n=512)
         assert rep.status == "passed"
         assert rep.min_value == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert rep.worst_margin >= -1e-9
@@ -58,14 +70,14 @@ class TestGlobalMin:
         assert rep.antisym_worst <= 1e-9
 
     def test_r1_trivial_margins(self):
-        rep = verify_global_min(1.0, grid_n=256, tol=1e-9)
+        rep = verify_global_min(1.0, grid_n=256)
         assert rep.status == "passed"
         # the sum is constant, so every margin collapses to rounding noise
         assert abs(rep.worst_margin) <= 1e-11
         assert rep.deriv_worst <= 1e-11
 
     def test_half_integer_minimum_value(self):
-        rep = verify_global_min(1.5, grid_n=256, tol=1e-9)
+        rep = verify_global_min(1.5, grid_n=256)
         assert rep.status == "passed"
         assert rep.min_value == pytest.approx(
             float(power_sum_mp(1.5, 0.5)), abs=1e-12
@@ -73,38 +85,33 @@ class TestGlobalMin:
 
     @pytest.mark.parametrize("r", GLOBAL_MIN_R)
     def test_min_value_is_the_direct_route(self, r):
-        rep = verify_global_min(r, grid_n=1024, tol=1e-10)
+        rep = verify_global_min(r, grid_n=1024)
         assert rep.min_value == power_sum(EvalPoint(r, 0.5))[0]
 
     @pytest.mark.parametrize("r", [2.0, 1.5])
     def test_reads_only_the_direct_route(self, r, monkeypatch):
-        expected = verify_global_min(r, grid_n=256, tol=1e-9)
+        expected = verify_global_min(r, grid_n=256)
 
         def refuse(*args):
             raise AssertionError("the grid verdict reads only the direct route")
 
         monkeypatch.setattr(backend, "power_sum_zeta", refuse)
         monkeypatch.setattr(exactpoly, "poly_eval", refuse)
-        assert verify_global_min(r, grid_n=256, tol=1e-9) == expected
-
-    def test_unreachable_tolerance_is_inconclusive(self):
-        rep = verify_global_min(2.0, grid_n=64, tol=1e-30)
-        assert rep.status == "inconclusive"
-        assert "rigor floor" in rep.note
+        assert verify_global_min(r, grid_n=256) == expected
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            verify_global_min(2.0, grid_n=8, tol=1e-9)
+            verify_global_min(2.0, grid_n=8)
         with pytest.raises(DomainError):
             SuiteConfig(grid=8)
 
     @pytest.mark.parametrize("r", BAD_R)
     def test_r_outside_the_claim(self, r):
         with pytest.raises(DomainError):
-            verify_global_min(r, grid_n=64, tol=1e-9)
+            verify_global_min(r, grid_n=64)
 
     def test_largest_r_is_accepted(self):
-        rep = verify_global_min(R_MAX, grid_n=16, tol=1e-9)
+        rep = verify_global_min(R_MAX, grid_n=16)
         assert rep.r == R_MAX
         # S_r(1/2) underflows to 0.0, so the worst grid margin would be exactly 0
         assert rep.min_value == 0.0
@@ -116,7 +123,6 @@ class TestGlobalMinFailures:
     """Each of the grid's three criteria fails it on its own."""
 
     R = 2.0
-    TOL = 1e-10
     X = 4 / 15  # a point of the 16-point grid left of 1/2; its mirror is 11/15
 
     def _bend(self, monkeypatch, name, xs, change):
@@ -130,30 +136,30 @@ class TestGlobalMinFailures:
 
     def test_value_dip(self, monkeypatch):
         self._bend(monkeypatch, "power_sum_fixed", (self.X,), lambda out: (0.0, out[1]))
-        rep = verify_global_min(self.R, grid_n=16, tol=self.TOL)
+        rep = verify_global_min(self.R, grid_n=16)
         assert rep.status == "failed"
         assert rep.worst_x == self.X
         assert rep.worst_margin == pytest.approx(-1.0 / 3.0, abs=1e-12)
-        assert rep.deriv_worst <= self.TOL
+        assert rep.deriv_worst <= GRID_TOL
         assert rep.antisym_worst <= ANTISYM_TOL
 
     def test_derivative_sign(self, monkeypatch):
         # flipping both mirror points keeps the derivative antisymmetric
         self._bend(monkeypatch, "power_sum_deriv", (self.X, 11 / 15), lambda d: -d)
-        rep = verify_global_min(self.R, grid_n=16, tol=self.TOL)
+        rep = verify_global_min(self.R, grid_n=16)
         assert rep.status == "failed"
         assert rep.deriv_worst > 2.0  # S_2'(4/15) is about -2.08
-        assert rep.worst_margin >= -self.TOL
+        assert rep.worst_margin >= -GRID_TOL
         assert rep.antisym_worst <= ANTISYM_TOL
 
     def test_antisymmetry(self, monkeypatch):
         # the derivative stays negative left of 1/2, but no longer mirrors
         self._bend(monkeypatch, "power_sum_deriv", (self.X,), lambda d: d - 10 * ANTISYM_TOL)
-        rep = verify_global_min(self.R, grid_n=16, tol=self.TOL)
+        rep = verify_global_min(self.R, grid_n=16)
         assert rep.status == "failed"
         assert rep.antisym_worst > ANTISYM_TOL
-        assert rep.worst_margin >= -self.TOL
-        assert rep.deriv_worst <= self.TOL
+        assert rep.worst_margin >= -GRID_TOL
+        assert rep.deriv_worst <= GRID_TOL
 
     def test_suite_check_fails_with_the_worst_x(self, monkeypatch):
         self._bend(monkeypatch, "power_sum_fixed", (self.X,), lambda out: (0.0, out[1]))

@@ -1,8 +1,18 @@
 """Consensus evaluation across the routes."""
 
+import random
+
 import pytest
 
-from sincsum import EvalConfig, EvalPoint, evaluate, exactpoly, power_sum, power_sum_zeta
+from sincsum import (
+    EvalConfig,
+    EvalPoint,
+    backend,
+    evaluate,
+    exactpoly,
+    power_sum,
+    power_sum_zeta,
+)
 from sincsum.verify.suite import GLOBAL_MIN_R, SuiteConfig
 
 RS = (0.502, 1.0, 2.5, 3.0, 100.0, 101.0, 1e45)
@@ -46,3 +56,21 @@ class TestEvaluate:
     def test_beyond_poly_cap(self):
         res = evaluate(EvalPoint(101.0, 0.5))
         assert "polynomial" not in res.methods
+
+
+def test_quarter_point_identity(twin_kernels, monkeypatch):
+    """S_r(1/4) = 2^(r-1) S_r(1/2), exactly, for every r > 1/2
+    (docs/derivations.md section 3), at seeded log-uniform r in [0.51, 600].
+
+    Each term is exp(s log|sinc|) with s = 2r, so a rounding of log|sinc|
+    by a relative 2^-53 moves the term by about s 2^-53 relative: the
+    bound grows like s.
+    """
+    monkeypatch.setattr(backend, "power_sum_routes", twin_kernels.power_sum_routes)
+    cfg = EvalConfig(1e-13)
+    rng = random.Random(0)
+    for _ in range(401):
+        r = 0.51 * (600.0 / 0.51) ** rng.random()
+        quarter = evaluate(EvalPoint(r, 0.25), cfg).value
+        half = evaluate(EvalPoint(r, 0.5), cfg).value
+        assert abs(quarter - 2.0 ** (r - 1.0) * half) <= 4.0 * 2.0 * r * 2.0**-53 * quarter, r

@@ -2,7 +2,9 @@
 
 They are dataclasses with validated construction: fields and defaults,
 immutability, eq, hash and repr, ``dataclasses.replace``, pickling, and the
-exact ``DomainError`` message for each kind of bad input, checks in order.
+exact ``DomainError`` message for each kind of bad input, checks in order;
+and the ``DomainError`` that every owner of a numeric rule on the typed
+surface raises for a non-number.
 """
 
 import dataclasses
@@ -11,7 +13,16 @@ import pickle
 
 import pytest
 
-from sincsum import DomainError, EvalConfig, EvalPoint
+from sincsum import (
+    ConstantQuery,
+    DomainError,
+    EvalConfig,
+    EvalPoint,
+    hurwitz_zeta,
+    min_constant,
+    poly_eval,
+    poly_f,
+)
 from sincsum.core import R_MAX, R_MIN
 from sincsum.evaluate import EvalResult
 
@@ -159,6 +170,12 @@ _ABOVE_MAX = math.nextafter(R_MAX, math.inf)
         (0.4, math.nan, "non-finite evaluation point (0.4, nan)"),
         (0.4, 1.5, f"r must exceed {R_MIN} (sum diverges at 1/2), got 0.4"),
         (_ABOVE_MAX, -1.0, f"r must be at most {R_MAX} (2r*pi overflows), got {_ABOVE_MAX}"),
+        # a non-number is named before any range or finiteness check
+        ("2", 0.5, "r must be a real number, got '2'"),
+        (2, None, "x must be a real number, got None"),
+        (None, "0.5", "r must be a real number, got None"),
+        (math.nan, "0.5", "x must be a real number, got '0.5'"),
+        (2.0, 1j, "x must be a real number, got 1j"),
     ],
 )
 def test_point_domain_messages(r, x, message):
@@ -167,11 +184,39 @@ def test_point_domain_messages(r, x, message):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-10])
-def test_config_domain_messages(tol):
+@pytest.mark.parametrize(
+    "tol, message",
+    [
+        (t, f"target_tol must be positive, got {t}")
+        for t in (math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-10)
+    ]
+    + [
+        ("1e-3", "target_tol must be a real number, got '1e-3'"),
+        (None, "target_tol must be a real number, got None"),
+    ],
+)
+def test_config_domain_messages(tol, message):
     with pytest.raises(DomainError) as exc:
         EvalConfig(tol)
-    assert str(exc.value) == f"target_tol must be positive, got {tol}"
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ConstantQuery("4"), "q must be a real number, got '4'"),
+        (lambda: min_constant("4"), "q must be a real number, got '4'"),
+        (lambda: hurwitz_zeta("2", 1.0), "s must be a real number, got '2'"),
+        (lambda: hurwitz_zeta(2.0, "1"), "a must be a real number, got '1'"),
+        (lambda: poly_eval(poly_f(3), "0.5"), "x must be a real number, got '0.5'"),
+    ],
+    ids=["constant-query", "min-constant", "hurwitz-s", "hurwitz-a", "poly-eval"],
+)
+def test_non_numbers_are_domain_errors(call, message):
+    # each raised the comparison's raw TypeError
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_domain_edges_accepted():
