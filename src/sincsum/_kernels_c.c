@@ -54,6 +54,13 @@ static const double EM_NEXT = 43867.0 / 5109094217170944000.0;
 
 static const double FLOAT_SLACK = 1e-14;
 
+/* The two rules every lattice-sum term is built from: sinc_d takes its
+ * Taylor polynomial below |x| = SERIES_SWITCH, and no x + m rounds onto an
+ * integer for |m| < 2^20 where x and 1 - x are both at least ROUND_MARGIN
+ * (rounding moves x + m below 2^20 by at most 2^-34). */
+static const double SERIES_SWITCH = 1e-4;
+static const double ROUND_MARGIN = 1e-9;
+
 /* sinc'(x) = pi^2 x G((pi x)^2), G(u) = sum_k (-1)^k 2k u^(k-1)/(2k+1)!. */
 static const double DSINC_COEF[8] = {
     -1.0 / 3.0,
@@ -76,7 +83,7 @@ static double
 sinc_d(double x)
 {
     double t, u;
-    if (fabs(x) < 1e-4) {
+    if (fabs(x) < SERIES_SWITCH) {
         t = PI * x;
         u = t * t;
         return 1.0 - u / 6.0 + (u * u) / 120.0;
@@ -155,18 +162,19 @@ abs_pow(double u, double s)
 /* sinc(x), signed; *v gets sinc(x - 1) and *sp sin(pi*x), signed, *ls
  * log|sin(pi*x)| and *pref the prefactor (|sin(pi*x)|/pi)^s, which is
  * exp(s*(-inf)) where sin(pi*x) is 0.  Each sinc is sinc_d's plain branch
- * in line where sinc_d takes it: 1e-4 <= x < 1 for sinc(x), which then
- * shares sin(pi*x) with *sp, and x >= 1e-9 and 1 - x >= 1e-4 for
- * sinc(x - 1).  The lattice-sum kernels and the derivative take these from
- * here. */
+ * in line where sinc_d takes it: SERIES_SWITCH <= x < 1 for sinc(x), which
+ * then shares sin(pi*x) with *sp, and for sinc(x - 1) x >= ROUND_MARGIN
+ * (x - 1 is no integer) and 1 - x >= SERIES_SWITCH (the switch at the
+ * argument x - 1).  The lattice-sum kernels and the derivative take these
+ * from here. */
 static double
 sines(double s, double x, double *v, double *sp, double *ls, double *pref)
 {
     double t = PI * x, u;
     *sp = sin(t);
-    u = 1e-4 <= x && x < 1.0 ? *sp / t : sinc_d(x);
+    u = SERIES_SWITCH <= x && x < 1.0 ? *sp / t : sinc_d(x);
     t = PI * (x - 1.0);
-    *v = x >= 1e-9 && 1.0 - x >= 1e-4 ? sin(t) / t : sinc_d(x - 1.0);
+    *v = x >= ROUND_MARGIN && 1.0 - x >= SERIES_SWITCH ? sin(t) / t : sinc_d(x - 1.0);
     *ls = log(fabs(*sp));
     *pref = exp(s * (*ls - LOG_PI));
     return u;

@@ -58,13 +58,12 @@ follows with the same Kahan step, and the m = 0 term comes last.  The
 loop is chosen once, before it starts.  Its terms are ``sinc``'s plain
 branch in line, t = pi*(x + m) and exp(s*log|sin(t)/t|), where the scalar
 ``sinc`` would take that branch for every offset and ``exp`` cannot
-overflow: M < 2^20, s > 0, x >= 1e-9 and 1 - x >= 1e-4.  There no x + m
-rounds to an integer (1e-9 is more than half an ulp of any |m| < 2^20,
-and x + m stays 1e-4 below the next integer), and |x + m| >= 1e-4, the
-Taylor branch's threshold.  1 - x is exact for x >= 1/2, so the last
-condition is |x - 1| >= 1e-4 exactly; x <= 1 - 1e-4 would not be, since
-0.9999 - 1 is -9.9999999999989e-05.  Elsewhere the other loop takes each
-term from ``sinc`` and ``_abs_pow``.
+overflow: M < OFFSET_LIMIT, s > 0, x >= ROUND_MARGIN and
+1 - x >= ROUND_MARGIN.  There no x + m rounds to an integer (the margin
+rule beside the constants), and |x + m| >= 1 > SERIES_SWITCH, since the
+loop holds no m = 0 or m = -1.  1 - x is exact for x >= 1/2, so the last
+condition is |x - 1| >= ROUND_MARGIN exactly.  Elsewhere the other loop
+takes each term from ``sinc`` and ``_abs_pow``.
 
 For m > M every term factors as (|sin(pi*x)|/pi)^(2r) * (m +- x)^(-2r), so
 each tail equals that prefactor times a Hurwitz zeta value at argument
@@ -118,6 +117,15 @@ _EM_NEXT = 43867.0 / 5109094217170944000.0
 # summation residue and the final few uncommitted roundings.
 FLOAT_SLACK = 1e-14
 
+# The two rules every lattice-sum term is built from.  ``sinc`` takes its
+# Taylor polynomial below |x| = SERIES_SWITCH.  No x + m rounds onto an
+# integer for |m| < OFFSET_LIMIT where x and 1 - x are both at least
+# ROUND_MARGIN: floats below 2^20 are at most 2^-33 apart, so rounding
+# moves x + m by at most 2^-34, under a tenth of the margin.
+SERIES_SWITCH = 1e-4
+OFFSET_LIMIT = 1 << 20
+ROUND_MARGIN = 1e-9
+
 
 def backend_name() -> str:
     return "python"
@@ -126,12 +134,13 @@ def backend_name() -> str:
 def sinc(x: float) -> float:
     """sin(pi*x)/(pi*x) with the removable singularity filled in.
 
-    Below |x| = 1e-4 the quotient is replaced by the Taylor polynomial
-    1 - (pi*x)^2/6 + (pi*x)^4/120; the first omitted term is below 2e-25
-    there, so the switch keeps relative error at machine epsilon without
-    the cancellation of evaluating sin at denormal-scale arguments.
+    Below |x| = SERIES_SWITCH (1e-4) the quotient is replaced by the
+    Taylor polynomial 1 - (pi*x)^2/6 + (pi*x)^4/120; the first omitted term
+    is below 2e-25 there, so the switch keeps relative error at machine
+    epsilon without the cancellation of evaluating sin at denormal-scale
+    arguments.
     """
-    if abs(x) < 1e-4:
+    if abs(x) < SERIES_SWITCH:
         t = PI * x
         u = t * t
         return 1.0 - u / 6.0 + (u * u) / 120.0
@@ -386,19 +395,23 @@ def _sines(s: float, x: float) -> tuple[float, float, float, float, float]:
     terms, the tails and the derivative are built from.
 
     Each sinc is ``sinc``'s plain branch in line where ``sinc`` takes it.
-    For sinc(x) that is 1e-4 <= x < 1, where x is no integer and the
-    quotient and the prefactor share one sin(pi*x).  For sinc(x - 1) it is
-    x >= 1e-9 and 1 - x >= 1e-4: below about 1.1e-16, x - 1 rounds to -1,
-    where sinc is exactly 0.  At sin(pi*x) = 0 the prefactor is C's
-    exp(s*(-inf)), which ``_heads`` replaces by 0.0, and the log is -inf.
+    For sinc(x) that is SERIES_SWITCH <= x < 1, where x is no integer and
+    the quotient and the prefactor share one sin(pi*x).  For sinc(x - 1)
+    it is x >= ROUND_MARGIN, since below about 1.1e-16 x - 1 rounds to -1,
+    where sinc is exactly 0, and 1 - x >= SERIES_SWITCH, the switch at the
+    argument x - 1.  1 - x is exact for x >= 1/2, so that is
+    |x - 1| >= SERIES_SWITCH exactly; x <= 1 - 1e-4 would not be, since
+    0.9999 - 1 is -9.9999999999989e-05.  At sin(pi*x) = 0 the prefactor
+    is C's exp(s*(-inf)), which ``_heads`` replaces by 0.0, and the log is
+    -inf.
     """
     t = PI * x
     try:
         sp = math.sin(t)
     except ValueError:
         sp = math.nan  # x = +-inf, where C's sin gives nan
-    u = sp / t if 1e-4 <= x < 1.0 else sinc(x)
-    if x >= 1e-9 and 1.0 - x >= 1e-4:
+    u = sp / t if SERIES_SWITCH <= x < 1.0 else sinc(x)
+    if x >= ROUND_MARGIN and 1.0 - x >= SERIES_SWITCH:
         t = PI * (x - 1.0)
         v = math.sin(t) / t
     else:
@@ -441,7 +454,7 @@ def _direct(
         raise ValueError(f"m_terms must be >= 0, got {m_terms}")
     head, neighbour, pref = heads
     offsets = _OFFSETS[m_terms] if m_terms <= _KEPT_M else _central_offsets(m_terms)
-    plain = m_terms < 1 << 20 and s > 0.0 and x >= 1e-9 and 1.0 - x >= 1e-4
+    plain = m_terms < OFFSET_LIMIT and s > 0.0 and x >= ROUND_MARGIN and 1.0 - x >= ROUND_MARGIN
     sin, log, exp = math.sin, math.log, math.exp
     acc = 0.0
     c = 0.0

@@ -27,7 +27,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from ._kernels_py import LOG_PI
-from .core import _check_index, _isfinite
+from .core import _check_index, _isfinite, _show
 from .errors import DomainError
 from .specfun import BERNOULLI_CAP, _tangent_table, hurwitz_zeta
 
@@ -98,7 +98,7 @@ def _log_zeta(q: float) -> float:
 
 def _check_q(q: float) -> None:
     if not _isfinite(q, "q") or q < 2.0:
-        raise DomainError(f"q must be a finite number >= 2, got {q}")
+        raise DomainError(f"q must be a finite number >= 2, got {_show(q)}")
 
 
 def _log_sums(q: float) -> tuple[float, float, float]:

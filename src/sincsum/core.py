@@ -68,44 +68,57 @@ class EvalConfig:
     def __init__(self, target_tol: float = target_tol):
         try:
             if not 0.0 < target_tol < math.inf:  # nan fails it too
-                raise DomainError(f"target_tol must be positive, got {target_tol}")
+                raise DomainError(f"target_tol must be positive, got {_show(target_tol)}")
         except TypeError:  # free where nothing is raised, unlike an isinstance test
             _isfinite(target_tol, "target_tol")  # raises for a non-number
             raise
         self.__dict__["target_tol"] = target_tol
 
 
+def _show(value) -> str:
+    """repr(value) for an error message, which never raises: repr raises
+    ValueError for an int longer than ``sys.get_int_max_str_digits()``
+    (4300 digits by default), and for a Fraction built of one."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 def _isfinite(value, name: str) -> bool:
     """math.isfinite(value), except that a non-number, where math.isfinite
-    raises TypeError, raises DomainError naming ``name``.  Each owner of a
+    raises TypeError, and a number past the float range, where it raises
+    OverflowError, raise DomainError naming ``name``.  Each owner of a
     numeric range rule calls it before its comparison, or on the TypeError
     that the comparison raises."""
     try:
         return math.isfinite(value)
     except TypeError:
-        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+        raise DomainError(f"{name} must be a real number, got {_show(value)}") from None
+    except OverflowError:
+        raise DomainError(f"{name} is past the float range, got {_show(value)}") from None
 
 
 def _check_x(x: float) -> None:
     """The one rule for evaluation points: 0 <= x <= 1.  Per-point paths
     test it in line and call this only to raise, saving a call per point."""
     if not (_isfinite(x, "x") and 0.0 <= x <= 1.0):
-        raise DomainError(f"x must lie in [0,1], got {x}")
+        raise DomainError(f"x must lie in [0,1], got {_show(x)}")
 
 
 def _check_index(n: int, name: str, least: int) -> None:
     """The one rule for counts and exact-table indices: an int, not a bool,
     no less than ``least``."""
     if isinstance(n, bool) or not isinstance(n, int):
-        raise DomainError(f"{name} must be an integer, got {n!r}")
+        raise DomainError(f"{name} must be an integer, got {_show(n)}")
     if n < least:
-        raise DomainError(f"{name} must be >= {least}, got {n}")
+        raise DomainError(f"{name} must be >= {least}, got {_show(n)}")
 
 
 def check_grid_cap(grid_n: int) -> None:
     """Refuse a grid of more than MAX_GRID_N points with SizeLimitError."""
     if grid_n > MAX_GRID_N:
-        raise SizeLimitError(f"grid of {grid_n} points exceeds cap {MAX_GRID_N}")
+        raise SizeLimitError(f"grid of {_show(grid_n)} points exceeds cap {MAX_GRID_N}")
 
 
 @dataclass(frozen=True, init=False)
@@ -119,14 +132,20 @@ class EvalPoint:
         try:
             if not (R_MIN < r <= R_MAX and 0.0 <= x <= 1.0):
                 # an invalid point: the checks below only pick the message;
-                # & calls isfinite on both, so a non-number x beside a nan r
-                # still raises TypeError
-                if not (math.isfinite(r) & math.isfinite(x)):
-                    raise DomainError(f"non-finite evaluation point ({r}, {x})")
+                # & calls _isfinite on both, so a non-number x beside a nan r
+                # is still named
+                if not (_isfinite(r, "r") & _isfinite(x, "x")):
+                    raise DomainError(
+                        f"non-finite evaluation point ({_show(r)}, {_show(x)})"
+                    )
                 if r <= R_MIN:
-                    raise DomainError(f"r must exceed {R_MIN} (sum diverges at 1/2), got {r}")
+                    raise DomainError(
+                        f"r must exceed {R_MIN} (sum diverges at 1/2), got {_show(r)}"
+                    )
                 if r > R_MAX:
-                    raise DomainError(f"r must be at most {R_MAX} (2r*pi overflows), got {r}")
+                    raise DomainError(
+                        f"r must be at most {R_MAX} (2r*pi overflows), got {_show(r)}"
+                    )
                 _check_x(x)
         except TypeError:  # a non-number; free where nothing is raised
             _isfinite(r, "r")
@@ -142,15 +161,15 @@ DEFAULT_CONFIG = EvalConfig()
 
 def sinc(x: float) -> float:
     """Normalized sinc sin(pi*x)/(pi*x); 1 at x = 0; even; |sinc| <= 1."""
-    if not math.isfinite(x):
-        raise DomainError(f"sinc requires finite input, got {x}")
+    if not _isfinite(x, "x"):
+        raise DomainError(f"sinc requires finite input, got {_show(x)}")
     return backend.sinc(x)
 
 
 def sinc_sq(x: float) -> float:
     """Square of the normalized sinc; vanishes exactly at nonzero integers."""
-    if not math.isfinite(x):
-        raise DomainError(f"sinc_sq requires finite input, got {x}")
+    if not _isfinite(x, "x"):
+        raise DomainError(f"sinc_sq requires finite input, got {_show(x)}")
     return backend.sinc_sq(x)
 
 

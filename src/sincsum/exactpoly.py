@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from operator import or_
 
-from .core import _check_x
+from .core import _check_x, _show
 from .errors import CertificateError, SizeLimitError
 
 #: Largest supported polynomial order; keeps the exact factorial scaling
@@ -109,7 +109,7 @@ def poly_f(r: int) -> SincPolynomial:
     """P_r by iterating the recursion from P_1 = 1, with all invariants checked."""
     global _poly_top
     if isinstance(r, bool) or not isinstance(r, int) or r < 1 or r > R_CAP:
-        raise SizeLimitError(f"r must be an integer in [1, {R_CAP}], got {r!r}")
+        raise SizeLimitError(f"r must be an integer in [1, {R_CAP}], got {_show(r)}")
     if r not in _poly_cache:
         with _poly_lock:
             k, q = _poly_top

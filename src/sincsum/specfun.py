@@ -7,9 +7,12 @@ Euler-Maclaurin kernels.
 
 Conventions: Bernoulli numbers with B_1 = -1/2, the even ones computed from
 integer tangent numbers (Brent & Harvey, arXiv:1108.0286), whose one cached
-table also serves zeta_even and constants.exact_min_constant.  Even-argument
-zeta values come from zeta(2n) = T_n pi^(2n) / (2 (4^n - 1) (2n-1)!).  Every
-exact-table index must be an int, or DomainError is raised.
+table also serves zeta_even and constants.exact_min_constant.  The table
+grows in place: a larger request computes only the new entries, from the
+last column of the recurrence's triangle, which is cached beside it.
+Even-argument zeta values come from
+zeta(2n) = T_n pi^(2n) / (2 (4^n - 1) (2n-1)!).  Every exact-table index
+must be an int, or DomainError is raised.
 """
 
 import math
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import backend
-from .core import EvalPoint, _check_index, _isfinite
+from .core import EvalPoint, _check_index, _isfinite, _show
 from .errors import DomainError, PrecisionError, SizeLimitError
 from .exactpoly import R_CAP
 
@@ -31,39 +34,59 @@ FACTORIAL_CAP = 2 * R_CAP + 1
 #: refused instead of exhausting memory.
 BERNOULLI_CAP = 2048
 
-_tangent_cache: tuple[int, ...] = ()
+#: The cached tangent numbers T_1..T_M and the last column of the triangle
+#: they were read from (see ``_extend_tangents``), published together.
+_tangent_cache: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
 _tangent_lock = threading.Lock()
 
 
 def _check_bernoulli_cap(n_max: int) -> None:
     if n_max > BERNOULLI_CAP:
-        raise SizeLimitError(f"Bernoulli index {n_max} exceeds cap {BERNOULLI_CAP}")
+        raise SizeLimitError(f"Bernoulli index {_show(n_max)} exceeds cap {BERNOULLI_CAP}")
+
+
+def _extend_tangents(
+    table: tuple[int, ...], column: tuple[int, ...], m: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """T_1..T_m and the triangle's column at m, from T_1..T_M and its column
+    at M (both empty for M = 0).
+
+    Brent & Harvey's integer recurrence (arXiv:1108.0286, Algorithm
+    TangentNumbers), O(m^2) integer operations and no division, fills a
+    triangle: A_1(j) = (j - 1)!, A_k(j) = (j - k) A_k(j - 1)
+    + (j - k + 2) A_{k-1}(j) for 2 <= k <= j, and T_j = A_j(j).  Column j,
+    the A_k(j) for k = 1..j, needs only column j - 1, so the table grows
+    from the saved column and no entry is computed twice.
+    """
+    table, a = list(table), list(column)  # a[k - 1] = A_k(j - 1)
+    for j in range(len(table) + 1, m + 1):
+        if a:
+            a[0] *= j - 1
+            for k in range(2, j):  # in place, a[k - 2] already at column j
+                a[k - 1] = (j - k) * a[k - 1] + (j - k + 2) * a[k - 2]
+            a.append(2 * a[-1])  # A_j(j): the A_j(j - 1) term has factor 0
+        else:
+            a.append(1)  # A_1(1) = 0!
+        table.append(a[-1])
+    return tuple(table), tuple(a)
 
 
 def _tangent_table(m: int) -> tuple[int, ...]:
     """The cached table T_1..T_M for some M >= m, itself and not a copy.
 
-    Brent & Harvey's in-place integer recurrence (arXiv:1108.0286,
-    Algorithm TangentNumbers): O(m^2) integer operations, no division.  A
-    larger request rebuilds the table under a lock and publishes a new
-    tuple, so concurrent callers observe an immutable table.
+    A larger request extends the table from its saved column under a lock
+    and publishes the new table and column as one tuple, so concurrent
+    callers observe an immutable table.
     """
     global _tangent_cache
-    table = _tangent_cache
+    table = _tangent_cache[0]
     if len(table) >= m:
         return table
     _check_bernoulli_cap(2 * m)
     with _tangent_lock:
-        if len(_tangent_cache) < m:
-            t = [0] * (m + 1)
-            t[1] = 1
-            for k in range(2, m + 1):
-                t[k] = (k - 1) * t[k - 1]
-            for k in range(2, m + 1):
-                for j in range(k, m + 1):
-                    t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-            _tangent_cache = tuple(t[1:])
-        return _tangent_cache
+        if len(_tangent_cache[0]) < m:
+            _tangent_cache = _extend_tangents(*_tangent_cache, m)
+        return _tangent_cache[0]
 
 
 def tangent_numbers(m: int) -> tuple[int, ...]:
@@ -110,7 +133,7 @@ def zeta_even(n: int) -> ZetaEvenValue:
     """
     _check_index(n, "n", 1)
     if 2 * n > FACTORIAL_CAP:
-        raise SizeLimitError(f"2n = {2*n} exceeds exact factorial cap {FACTORIAL_CAP}")
+        raise SizeLimitError(f"2n = {_show(2 * n)} exceeds exact factorial cap {FACTORIAL_CAP}")
     rational = Fraction(
         _tangent_table(n)[n - 1], 2 * (4**n - 1) * math.factorial(2 * n - 1)
     )
@@ -121,18 +144,18 @@ def zeta_even(n: int) -> ZetaEvenValue:
 def hurwitz_zeta(s: float, a: float) -> float:
     """sum_{k>=0} (k+a)^(-s) for s > 1 + 1e-9 and a in (0, 2]."""
     if not _isfinite(s, "s") or s <= 1.0 + 1e-9:
-        raise DomainError(f"s must exceed 1 + 1e-9 (pole at 1), got {s}")
+        raise DomainError(f"s must exceed 1 + 1e-9 (pole at 1), got {_show(s)}")
     if not (_isfinite(a, "a") and 0.0 < a <= 2.0):
-        raise DomainError(f"a must lie in (0, 2], got {a}")
+        raise DomainError(f"a must lie in (0, 2], got {_show(a)}")
     value, gauge = backend.zeta_em(s, a)
     if not math.isfinite(value):
         raise PrecisionError(
-            f"hurwitz_zeta({s}, {a}) exceeds floating-point range",
+            f"hurwitz_zeta({_show(s)}, {_show(a)}) exceeds floating-point range",
             achieved_bound=math.inf,
         )
     if gauge > 1e-12 * max(1.0, abs(value)):
         raise PrecisionError(
-            f"hurwitz_zeta({s}, {a}) could not certify an error of at most "
+            f"hurwitz_zeta({_show(s)}, {_show(a)}) could not certify an error of at most "
             f"1e-12 * max(1, |value|): gauge {gauge:g}",
             achieved_bound=gauge,
         )
@@ -152,5 +175,5 @@ def power_sum_zeta(p: EvalPoint) -> float:
 def power_sum_deriv(p: EvalPoint) -> float:
     """Analytic derivative of S_r at x in (0,1); antisymmetric about 1/2."""
     if not (0.0 < p.x < 1.0):
-        raise DomainError(f"derivative route requires x in (0,1), got {p.x}")
+        raise DomainError(f"derivative route requires x in (0,1), got {_show(p.x)}")
     return backend.power_sum_deriv(p.r, p.x)

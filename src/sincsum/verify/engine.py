@@ -34,7 +34,9 @@ MAX_TRIALS = 10**8
 def _check_r(r: float) -> None:
     """The engine's one exponent rule: 1 <= r <= R_MAX (nan and inf fail it)."""
     if not (_isfinite(r, "r") and 1.0 <= r <= R_MAX):
-        raise DomainError(f"the minimum claim is checked for 1 <= r <= {R_MAX}, got {r}")
+        raise DomainError(
+            f"the minimum claim is checked for 1 <= r <= {R_MAX}, got {core._show(r)}"
+        )
 
 
 def _check_grid(grid_n: int) -> None:
@@ -45,7 +47,7 @@ def _check_grid(grid_n: int) -> None:
 def _check_trials(trials: int) -> None:
     _check_index(trials, "trials", 1)
     if trials > MAX_TRIALS:
-        raise SizeLimitError(f"{trials} trials exceed cap {MAX_TRIALS}")
+        raise SizeLimitError(f"{core._show(trials)} trials exceed cap {MAX_TRIALS}")
 
 
 @dataclass(frozen=True)

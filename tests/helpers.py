@@ -374,6 +374,21 @@ def poly_step_operator(coeffs, r: int) -> tuple[Fraction, ...]:
     return tuple(total[: r + 1])
 
 
+def tangent_numbers_reference(m: int) -> tuple[int, ...]:
+    """T_1..T_m in one shot: Brent & Harvey's Algorithm TangentNumbers
+    (arXiv:1108.0286) as the paper orders it, pass by pass over the whole
+    table, where the library grows its table index by index."""
+    t = [0] * (m + 1)
+    if m:
+        t[1] = 1
+    for k in range(2, m + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(t[1:])
+
+
 def constants_reference(q: float, d: int) -> tuple[float, float, float, float]:
     """``(c_q, log c_q, factor, half-shifted norm)`` as ``min_constant``,
     ``transference_factor`` and ``lq_norm_halfshift`` first computed them,

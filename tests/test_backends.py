@@ -7,12 +7,15 @@ leave nothing behind in the source tree.  The twins compute the same floats
 in the same order, so every comparison is exact.
 """
 
+import ast
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -233,20 +236,65 @@ class TestSelection:
         assert "unknown SINCSUM_BACKEND" in out.stderr
 
 
+# Each kernel-branch threshold, by its name in both twins, and the value of
+# the literal that its definition alone may write.
+THRESHOLDS = {"SERIES_SWITCH": 1e-4, "ROUND_MARGIN": 1e-9}
+
+
+def _py_literals(path: Path) -> list[tuple[str, float]]:
+    """(the name a line assigns to or "", value) for each numeric literal in
+    a Python source; strings and comments are not literals."""
+    out = []
+    with path.open("rb") as f:
+        for tok in tokenize.tokenize(f.readline):
+            if tok.type == tokenize.NUMBER:
+                target = re.match(r"(\w+) = ", tok.line)
+                out.append((target.group(1) if target else "", ast.literal_eval(tok.string)))
+    return out
+
+
+def _c_literals(path: Path) -> list[tuple[str, float]]:
+    """The same for a C source, with its comments stripped."""
+    text = re.sub(r"/\*.*?\*/|//[^\n]*", "", path.read_text(), flags=re.S)
+    out = []
+    for line in text.splitlines():
+        target = re.match(r"static const double (\w+) = ", line)
+        for lit in re.findall(r"(?<![\w.])(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", line):
+            out.append((target.group(1) if target else "", float(lit)))
+    return out
+
+
+@pytest.mark.parametrize("source", ["_kernels_py.py", "_kernels_c.c"])
+def test_each_threshold_literal_has_one_owner(source):
+    path = PACKAGE_DIR / source
+    literals = (_py_literals if source.endswith(".py") else _c_literals)(path)
+    for name, value in THRESHOLDS.items():
+        owners = [target for target, v in literals if v == value]
+        assert owners == [name], f"{source}: {value!r} is written for {owners}"
+    if source.endswith(".py"):
+        # the offset limit 2^20, which the margin is derived from: rounding
+        # an x + m below it moves it by half an ulp at most
+        assert [t for t, v in literals if v == 20] == ["OFFSET_LIMIT"]
+        assert math.ulp(math.nextafter(pure.OFFSET_LIMIT, 0.0)) / 2.0 < pure.ROUND_MARGIN / 10.0
+
+
 # Points at and around the edges of the guards under which the twins write
 # sinc's plain branch in line.  The pure twin's central loop (where s > 0)
-# and the sinc(x - 1) of ``_sines`` take it where x >= 1e-9 and
-# 1 - x >= 1e-4: 1 - 1e-4 rounds to 0.9999, whose x - 1 is within 1e-4 of
-# 0, so the guard must not hold there, while its lower neighbour is the
-# largest x where it does.  Around 1e-4 the sinc(x) of ``_sines``, which
-# the m = 0 term and the derivative read, switches between sinc's Taylor
-# branch and the plain branch whose sin(pi*x) the prefactor shares.  At
-# 1e-17, x - 1 rounds to -1, where sinc is exactly 0 and the plain branch
-# is not.  0 and 1 are the closed form's endpoints.
+# takes it where x >= 1e-9 and 1 - x >= 1e-9, and the sinc(x - 1) of
+# ``_sines`` where x >= 1e-9 and 1 - x >= 1e-4: 1 - 1e-4 rounds to 0.9999,
+# whose x - 1 is within 1e-4 of 0, so the head's guard must not hold there,
+# while its lower neighbour is the largest x where it does; 1 - 1e-9 and
+# the loop's guard likewise.  1 - 5e-5 lies between the two upper edges.
+# Around 1e-4 the sinc(x) of ``_sines``, which the m = 0 term and the
+# derivative read, switches between sinc's Taylor branch and the plain
+# branch whose sin(pi*x) the prefactor shares.  At 1e-17, x - 1 rounds to
+# -1, where sinc is exactly 0 and the plain branch is not.  0 and 1 are
+# the closed form's endpoints.
 _up = math.nextafter
 GUARD_X = [0.0, 5e-324, 1e-17, 1e-12, _up(1e-9, 0.0), 1e-9, _up(1e-9, 1.0)]
 GUARD_X += [_up(1e-4, 0.0), 1e-4, _up(1e-4, 1.0), 0.5]
-GUARD_X += [_up(1.0 - 1e-4, 0.0), 1.0 - 1e-4, _up(1.0 - 1e-4, 1.0), 1.0 - 1e-16, 1.0]
+GUARD_X += [_up(1.0 - 1e-4, 0.0), 1.0 - 1e-4, _up(1.0 - 1e-4, 1.0), 1.0 - 5e-5]
+GUARD_X += [_up(1.0 - 1e-9, 0.0), 1.0 - 1e-9, _up(1.0 - 1e-9, 1.0), 1.0 - 1e-16, 1.0]
 GUARD_X += [-3.5, 7.25]
 GUARD_M = [0, 1, 8, 13, 64]
 # -1e4: exp overflows to C's inf; 1e4: far terms underflow to 0 and are skipped

@@ -1,7 +1,9 @@
 """Bernoulli numbers, zeta values, and the closed-form evaluation routes."""
 
 import math
+import random
 import sys
+import threading
 from fractions import Fraction
 
 import mpmath as mp
@@ -16,6 +18,7 @@ from helpers import (
     power_sum_deriv_mp,
     power_sum_fd_deriv,
     power_sum_half_integer,
+    tangent_numbers_reference,
     zeta_brute,
 )
 from sincsum import _kernels_py, specfun
@@ -56,7 +59,7 @@ class TestBernoulli:
         assert bernoulli(n_max) == sympy_bernoulli(n_max)
 
     def test_cache_growth(self, monkeypatch):
-        monkeypatch.setattr(specfun, "_tangent_cache", ())
+        monkeypatch.setattr(specfun, "_tangent_cache", ((), ()))
         for n_max in (3, 201, 10):
             assert bernoulli(n_max) == sympy_bernoulli(n_max)
 
@@ -96,11 +99,50 @@ class TestTangentNumbers:
         assert tangent_numbers(20) == expected
 
     def test_cache_growth(self, monkeypatch):
-        monkeypatch.setattr(specfun, "_tangent_cache", ())
-        full = tangent_numbers(60)
-        monkeypatch.setattr(specfun, "_tangent_cache", ())
-        for m in (3, 60, 10):
-            assert tangent_numbers(m) == full[:m]
+        full = tangent_numbers_reference(300)
+        for order in ((3, 60, 10), (1, 2, 3), (5, 3, 64, 65, 200, 300), (299, 1, 300)):
+            monkeypatch.setattr(specfun, "_tangent_cache", ((), ()))
+            for m in order:
+                assert tangent_numbers(m) == full[:m]
+            table, column = specfun._tangent_cache
+            assert table == full[: max(order)] and len(column) == len(table)
+
+    def test_concurrent_growth(self, monkeypatch):
+        # a table and column published apart, or a lost update, would show
+        # as a wrong prefix or a column that does not match its table
+        monkeypatch.setattr(specfun, "_tangent_cache", ((), ()))
+        full = tangent_numbers_reference(200)
+        wrong = []
+
+        def grow(seed):
+            order = random.Random(seed).sample(range(1, 201), 200)
+            for m in order:
+                if tangent_numbers(m) != full[:m]:
+                    wrong.append(m)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        table, column = specfun._tangent_cache
+        assert table == full and len(column) == len(table)
+
+    def test_grown_table_equals_a_one_shot_build_at_the_cap(self):
+        m = specfun.BERNOULLI_CAP // 2
+        full = tangent_numbers_reference(m)
+        state = ((), ())
+        for step in (1, 2, 7, 64, 513, m):
+            state = specfun._extend_tangents(*state, step)
+        assert state[0] == full
+        assert tangent_numbers(m) == full
 
     def test_cap(self):
         cap = specfun.BERNOULLI_CAP // 2

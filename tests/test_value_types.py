@@ -4,7 +4,7 @@ They are dataclasses with validated construction: fields and defaults,
 immutability, eq, hash and repr, ``dataclasses.replace``, pickling, and the
 exact ``DomainError`` message for each kind of bad input, checks in order;
 and the ``DomainError`` that every owner of a numeric rule on the typed
-surface raises for a non-number.
+surface raises for a non-number or a number past the float range.
 """
 
 import dataclasses
@@ -22,6 +22,8 @@ from sincsum import (
     min_constant,
     poly_eval,
     poly_f,
+    sinc,
+    sinc_sq,
 )
 from sincsum.core import R_MAX, R_MIN
 from sincsum.evaluate import EvalResult
@@ -201,6 +203,10 @@ def test_config_domain_messages(tol, message):
     assert str(exc.value) == message
 
 
+_HUGE = 10**400  # past the float range: math.isfinite raises OverflowError
+_LONG = -(10**5000)  # past str's 4300-digit limit: formatting raises ValueError
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -209,11 +215,29 @@ def test_config_domain_messages(tol, message):
         (lambda: hurwitz_zeta("2", 1.0), "s must be a real number, got '2'"),
         (lambda: hurwitz_zeta(2.0, "1"), "a must be a real number, got '1'"),
         (lambda: poly_eval(poly_f(3), "0.5"), "x must be a real number, got '0.5'"),
+        (lambda: EvalPoint(_HUGE, 0.5), f"r is past the float range, got {_HUGE}"),
+        (lambda: EvalPoint(2, _HUGE), f"x is past the float range, got {_HUGE}"),
+        (lambda: hurwitz_zeta(_HUGE, 1.0), f"s is past the float range, got {_HUGE}"),
+        (lambda: hurwitz_zeta(2.0, _HUGE), f"a is past the float range, got {_HUGE}"),
+        (lambda: sinc(_HUGE), f"x is past the float range, got {_HUGE}"),
+        (lambda: min_constant(_HUGE), f"q is past the float range, got {_HUGE}"),
+        (lambda: ConstantQuery(_HUGE), f"q is past the float range, got {_HUGE}"),
+        (lambda: poly_eval(poly_f(2), _HUGE), f"x is past the float range, got {_HUGE}"),
+        (lambda: sinc("1"), "x must be a real number, got '1'"),
+        (lambda: sinc_sq(None), "x must be a real number, got None"),
+        (lambda: EvalConfig(_LONG), "target_tol must be positive, got <int too long to print>"),
+        (lambda: ConstantQuery(4.0, _LONG), "d must be >= 1, got <int too long to print>"),
     ],
-    ids=["constant-query", "min-constant", "hurwitz-s", "hurwitz-a", "poly-eval"],
+    ids=[
+        "constant-query", "min-constant", "hurwitz-s", "hurwitz-a", "poly-eval",
+        "huge-point-r", "huge-point-x", "huge-hurwitz-s", "huge-hurwitz-a", "huge-sinc",
+        "huge-min-constant", "huge-constant-query", "huge-poly-eval", "sinc-str",
+        "sinc-sq-none", "long-config", "long-query-d",
+    ],
 )
 def test_non_numbers_are_domain_errors(call, message):
-    # each raised the comparison's raw TypeError
+    # each raised a raw TypeError, or for the huge and long ints a raw
+    # OverflowError or ValueError
     with pytest.raises(DomainError) as exc:
         call()
     assert str(exc.value) == message
