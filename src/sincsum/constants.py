@@ -27,7 +27,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from ._kernels_py import LOG_PI
-from .core import _check_index, _isfinite, _show
+from .core import _check_index, _real, _show
 from .errors import DomainError
 from .specfun import BERNOULLI_CAP, _tangent_table, hurwitz_zeta
 
@@ -45,7 +45,7 @@ class ConstantQuery:
     d: int = 1
 
     def __post_init__(self):
-        _check_q(self.q)
+        object.__setattr__(self, "q", _check_q(self.q))  # stored as a float
         _check_index(self.d, "d", 1)
 
 
@@ -96,15 +96,18 @@ def _log_zeta(q: float) -> float:
     return math.log1p(2.0**-q + 3.0**-q + 4.0**-q)
 
 
-def _check_q(q: float) -> None:
-    if not _isfinite(q, "q") or q < 2.0:
+def _check_q(q: float) -> float:
+    """The one rule for the dual exponent: 2 <= q < inf; returns q as a float."""
+    q = _real(q, "q")
+    if not 2.0 <= q < math.inf:  # nan fails it too
         raise DomainError(f"q must be a finite number >= 2, got {_show(q)}")
+    return q
 
 
 def _log_sums(q: float) -> tuple[float, float, float]:
     """(log h, log c_q, excess) with one zeta evaluation: h = 2 (2^q - 1) zeta(q)
     is the half-shifted sum, c_q = h / pi^q, and excess = log h - q log 2."""
-    _check_q(q)
+    q = _check_q(q)
     log_zeta = _log_zeta(q)
     shrink = math.log1p(-(2.0 ** (-q)))
     log_h = _LOG2 + q * _LOG2 + shrink + log_zeta

@@ -29,6 +29,7 @@ dishonestly.
 import math
 import sys
 from dataclasses import dataclass
+from numbers import Real
 
 from . import backend
 from ._kernels_py import _EM_COEF, LOG_PI
@@ -64,14 +65,13 @@ class EvalConfig:
     # The value types write their fields straight into the instance dict:
     # the generated frozen __init__ would set each through object.__setattr__
     # and then call __post_init__.  ``target_tol`` in the signature is the
-    # field's default above, read from the class body.
+    # field's default above, read from the class body.  A valid float passes
+    # the in-line test without a call; anything else goes through _real.
     def __init__(self, target_tol: float = target_tol):
-        try:
+        if not (target_tol.__class__ is float and 0.0 < target_tol < math.inf):
+            target_tol = _real(target_tol, "target_tol")
             if not 0.0 < target_tol < math.inf:  # nan fails it too
                 raise DomainError(f"target_tol must be positive, got {_show(target_tol)}")
-        except TypeError:  # free where nothing is raised, unlike an isinstance test
-            _isfinite(target_tol, "target_tol")  # raises for a non-number
-            raise
         self.__dict__["target_tol"] = target_tol
 
 
@@ -85,25 +85,28 @@ def _show(value) -> str:
         return f"<{type(value).__name__} too long to print>"
 
 
-def _isfinite(value, name: str) -> bool:
-    """math.isfinite(value), except that a non-number, where math.isfinite
-    raises TypeError, and a number past the float range, where it raises
-    OverflowError, raise DomainError naming ``name``.  Each owner of a
-    numeric range rule calls it before its comparison, or on the TypeError
-    that the comparison raises."""
+def _real(value, name: str) -> float:
+    """The one rule for a real argument: a ``numbers.Real`` other than bool
+    (so int, float and Fraction, but not Decimal or complex), returned as a
+    float.  Any other type, and a number past the float range, raise
+    DomainError naming ``name``.  Each owner of a numeric range rule
+    converts through it and compares the float it returns."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise DomainError(f"{name} must be a real number, got {_show(value)}")
     try:
-        return math.isfinite(value)
-    except TypeError:
-        raise DomainError(f"{name} must be a real number, got {_show(value)}") from None
+        return float(value)
     except OverflowError:
         raise DomainError(f"{name} is past the float range, got {_show(value)}") from None
 
 
-def _check_x(x: float) -> None:
-    """The one rule for evaluation points: 0 <= x <= 1.  Per-point paths
-    test it in line and call this only to raise, saving a call per point."""
-    if not (_isfinite(x, "x") and 0.0 <= x <= 1.0):
+def _check_x(x: float) -> float:
+    """The one rule for evaluation points: 0 <= x <= 1; returns x as a
+    float.  Per-point paths test a float in line and call this only
+    otherwise, saving a call per point."""
+    x = _real(x, "x")
+    if not 0.0 <= x <= 1.0:  # nan fails it too
         raise DomainError(f"x must lie in [0,1], got {_show(x)}")
+    return x
 
 
 def _check_index(n: int, name: str, least: int) -> None:
@@ -129,28 +132,22 @@ class EvalPoint:
     x: float
 
     def __init__(self, r: float, x: float):
-        try:
-            if not (R_MIN < r <= R_MAX and 0.0 <= x <= 1.0):
-                # an invalid point: the checks below only pick the message;
-                # & calls _isfinite on both, so a non-number x beside a nan r
-                # is still named
-                if not (_isfinite(r, "r") & _isfinite(x, "x")):
-                    raise DomainError(
-                        f"non-finite evaluation point ({_show(r)}, {_show(x)})"
-                    )
-                if r <= R_MIN:
-                    raise DomainError(
-                        f"r must exceed {R_MIN} (sum diverges at 1/2), got {_show(r)}"
-                    )
-                if r > R_MAX:
-                    raise DomainError(
-                        f"r must be at most {R_MAX} (2r*pi overflows), got {_show(r)}"
-                    )
-                _check_x(x)
-        except TypeError:  # a non-number; free where nothing is raised
-            _isfinite(r, "r")
-            _isfinite(x, "x")
-            raise
+        if not (
+            r.__class__ is float and x.__class__ is float
+            and R_MIN < r <= R_MAX and 0.0 <= x <= 1.0
+        ):
+            # not two floats, or out of range: convert both, then name the
+            # first rule broken, in order: a non-number, a non-finite point,
+            # then r, then x
+            r = _real(r, "r")
+            x = _real(x, "x")
+            if not (math.isfinite(r) and math.isfinite(x)):
+                raise DomainError(f"non-finite evaluation point ({_show(r)}, {_show(x)})")
+            if r <= R_MIN:
+                raise DomainError(f"r must exceed {R_MIN} (sum diverges at 1/2), got {_show(r)}")
+            if r > R_MAX:
+                raise DomainError(f"r must be at most {R_MAX} (2r*pi overflows), got {_show(r)}")
+            _check_x(x)
         fields = self.__dict__
         fields["r"] = r
         fields["x"] = x
@@ -159,18 +156,23 @@ class EvalPoint:
 DEFAULT_CONFIG = EvalConfig()
 
 
+def _check_sinc_arg(x: float, func: str) -> float:
+    """The rule for sinc's and sinc_sq's argument: any finite real number;
+    returns it as a float."""
+    x = _real(x, "x")
+    if not math.isfinite(x):
+        raise DomainError(f"{func} requires finite input, got {_show(x)}")
+    return x
+
+
 def sinc(x: float) -> float:
     """Normalized sinc sin(pi*x)/(pi*x); 1 at x = 0; even; |sinc| <= 1."""
-    if not _isfinite(x, "x"):
-        raise DomainError(f"sinc requires finite input, got {_show(x)}")
-    return backend.sinc(x)
+    return backend.sinc(_check_sinc_arg(x, "sinc"))
 
 
 def sinc_sq(x: float) -> float:
     """Square of the normalized sinc; vanishes exactly at nonzero integers."""
-    if not _isfinite(x, "x"):
-        raise DomainError(f"sinc_sq requires finite input, got {_show(x)}")
-    return backend.sinc_sq(x)
+    return backend.sinc_sq(_check_sinc_arg(x, "sinc_sq"))
 
 
 def _gauge_coeff(s: float) -> float:

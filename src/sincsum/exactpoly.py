@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from operator import or_
 
-from .core import _check_x, _show
+from .core import _check_index, _check_x, _show
 from .errors import CertificateError, SizeLimitError
 
 #: Largest supported polynomial order; keeps the exact factorial scaling
@@ -54,8 +54,7 @@ class SincPolynomial:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.r < 1:
-            raise CertificateError(f"polynomial order must be >= 1, got {self.r}")
+        _check_index(self.r, "r", 1)
         if len(self.coeffs) != self.r:
             raise CertificateError(
                 f"P_{self.r} needs exactly {self.r} coefficients, got {len(self.coeffs)}"
@@ -108,7 +107,8 @@ _poly_lock = threading.Lock()
 def poly_f(r: int) -> SincPolynomial:
     """P_r by iterating the recursion from P_1 = 1, with all invariants checked."""
     global _poly_top
-    if isinstance(r, bool) or not isinstance(r, int) or r < 1 or r > R_CAP:
+    _check_index(r, "r", 1)
+    if r > R_CAP:
         raise SizeLimitError(f"r must be an integer in [1, {R_CAP}], got {_show(r)}")
     if r not in _poly_cache:
         with _poly_lock:
@@ -152,11 +152,8 @@ def _check_invariants(r: int, q: list[int], scale: int) -> None:
 
 def poly_eval(p: SincPolynomial, x: float) -> float:
     """Horner evaluation at y = cos^2(pi x), coefficients floated once."""
-    try:
-        if not 0.0 <= x <= 1.0:
-            _check_x(x)
-    except TypeError:  # a non-number, which _check_x names; free where nothing is raised
-        _check_x(x)
+    if not (x.__class__ is float and 0.0 <= x <= 1.0):
+        x = _check_x(x)
     cp = math.cos(math.pi * x)
     y = cp * cp
     acc = 0.0

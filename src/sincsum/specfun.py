@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import backend
-from .core import EvalPoint, _check_index, _isfinite, _show
+from .core import EvalPoint, _check_index, _real, _show
 from .errors import DomainError, PrecisionError, SizeLimitError
 from .exactpoly import R_CAP
 
@@ -33,6 +33,10 @@ FACTORIAL_CAP = 2 * R_CAP + 1
 #: about 1 MB, while a request such as q = 1e6 in exact_min_constant is
 #: refused instead of exhausting memory.
 BERNOULLI_CAP = 2048
+
+#: How far above its pole at s = 1 hurwitz_zeta must be asked: the least
+#: s it accepts exceeds 1 + POLE_SLACK.
+POLE_SLACK = 1e-9
 
 #: The cached tangent numbers T_1..T_M and the last column of the triangle
 #: they were read from (see ``_extend_tangents``), published together.
@@ -142,10 +146,12 @@ def zeta_even(n: int) -> ZetaEvenValue:
 
 
 def hurwitz_zeta(s: float, a: float) -> float:
-    """sum_{k>=0} (k+a)^(-s) for s > 1 + 1e-9 and a in (0, 2]."""
-    if not _isfinite(s, "s") or s <= 1.0 + 1e-9:
-        raise DomainError(f"s must exceed 1 + 1e-9 (pole at 1), got {_show(s)}")
-    if not (_isfinite(a, "a") and 0.0 < a <= 2.0):
+    """sum_{k>=0} (k+a)^(-s) for s > 1 + POLE_SLACK and a in (0, 2]."""
+    s = _real(s, "s")
+    if not 1.0 + POLE_SLACK < s < math.inf:  # nan fails it too
+        raise DomainError(f"s must exceed 1 + {POLE_SLACK!r} (pole at 1), got {_show(s)}")
+    a = _real(a, "a")
+    if not 0.0 < a <= 2.0:
         raise DomainError(f"a must lie in (0, 2], got {_show(a)}")
     value, gauge = backend.zeta_em(s, a)
     if not math.isfinite(value):

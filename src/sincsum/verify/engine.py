@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from .. import backend, core
-from ..core import DEFAULT_CONFIG, R_MAX, _check_index, _check_x, _isfinite, select_m_terms
+from ..core import DEFAULT_CONFIG, R_MAX, _check_index, _check_x, select_m_terms
 from ..errors import DomainError, SizeLimitError
 from .corpus import THRESHOLD
 
@@ -31,12 +31,15 @@ MIN_GRID_N = 16
 MAX_TRIALS = 10**8
 
 
-def _check_r(r: float) -> None:
-    """The engine's one exponent rule: 1 <= r <= R_MAX (nan and inf fail it)."""
-    if not (_isfinite(r, "r") and 1.0 <= r <= R_MAX):
+def _check_r(r: float) -> float:
+    """The engine's one exponent rule: 1 <= r <= R_MAX (nan and inf fail it);
+    returns r as a float."""
+    r = core._real(r, "r")
+    if not 1.0 <= r <= R_MAX:
         raise DomainError(
             f"the minimum claim is checked for 1 <= r <= {R_MAX}, got {core._show(r)}"
         )
+    return r
 
 
 def _check_grid(grid_n: int) -> None:
@@ -80,7 +83,7 @@ def verify_global_min(r: float, grid_n: int) -> GlobalMinReport:
     the grid values away from the ends underflow to 0.0, so every margin
     would be exactly 0; the report is inconclusive there.
     """
-    _check_r(r)
+    r = _check_r(r)
     _check_grid(grid_n)
     m_terms = select_m_terms(r, DEFAULT_CONFIG.target_tol)
     center, _ = backend.power_sum_fixed(r, 0.5, m_terms)
@@ -287,8 +290,8 @@ def proof_chain(r: float, x: float) -> ProofChainWitness:
     allows the slack tau relative to the head; the witness passes for
     every r up to R_MAX (derivations section 7).
     """
-    _check_r(r)
-    _check_x(x)
+    r = _check_r(r)
+    x = _check_x(x)
 
     far = range(1, PROOF_CHAIN_M + 1)
     xs = tuple(_pair_sum(x, m) for m in range(PROOF_CHAIN_M + 1))

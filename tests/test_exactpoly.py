@@ -73,14 +73,15 @@ class TestRecursion:
             exactpoly._check_invariants(3, q, scale)
 
     def test_order_cap(self):
+        # only an order above the cap is a size limit; the rest is the index rule
         with pytest.raises(SizeLimitError):
             poly_f(101)
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(DomainError, match="^r must be >= 1, got 0$"):
             poly_f(0)
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(DomainError, match=r"^r must be an integer, got 2\.0$"):
             poly_f(2.0)  # non-integer input
         for flag in (True, False):
-            with pytest.raises(SizeLimitError, match=f"got {flag}"):
+            with pytest.raises(DomainError, match=f"^r must be an integer, got {flag}$"):
                 poly_f(flag)
 
     def test_invariants_to_50(self):

@@ -255,6 +255,10 @@ class TestHurwitzZeta:
         assert info.value.achieved_bound == 1e-11
 
     def test_pole_guard(self):
+        edge = 1.0 + specfun.POLE_SLACK
+        with pytest.raises(DomainError, match=rf"^s must exceed 1 \+ 1e-09 \(pole at 1\), got {edge}$"):
+            hurwitz_zeta(edge, 1.0)
+        assert hurwitz_zeta(math.nextafter(edge, 2.0), 1.0) > 1e9 - 1e3
         with pytest.raises(DomainError):
             hurwitz_zeta(1.0, 1.0)
         with pytest.raises(DomainError):

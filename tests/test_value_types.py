@@ -3,21 +3,29 @@
 They are dataclasses with validated construction: fields and defaults,
 immutability, eq, hash and repr, ``dataclasses.replace``, pickling, and the
 exact ``DomainError`` message for each kind of bad input, checks in order;
-and the ``DomainError`` that every owner of a numeric rule on the typed
-surface raises for a non-number or a number past the float range.
+and the real-argument rule of the typed surface: ``core._real``, and it
+alone, raises ``DomainError`` for a non-number or a number past the float
+range, and every accepted number is stored or passed on as a float.
 """
 
+import ast
 import dataclasses
 import math
 import pickle
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import sincsum
 from sincsum import (
     ConstantQuery,
     DomainError,
     EvalConfig,
     EvalPoint,
+    SincPolynomial,
+    evaluate,
     hurwitz_zeta,
     min_constant,
     poly_eval,
@@ -27,6 +35,7 @@ from sincsum import (
 )
 from sincsum.core import R_MAX, R_MIN
 from sincsum.evaluate import EvalResult
+from sincsum.verify import verify_global_min
 
 MISSING = dataclasses.MISSING
 
@@ -225,22 +234,93 @@ _LONG = -(10**5000)  # past str's 4300-digit limit: formatting raises ValueError
         (lambda: poly_eval(poly_f(2), _HUGE), f"x is past the float range, got {_HUGE}"),
         (lambda: sinc("1"), "x must be a real number, got '1'"),
         (lambda: sinc_sq(None), "x must be a real number, got None"),
-        (lambda: EvalConfig(_LONG), "target_tol must be positive, got <int too long to print>"),
+        (lambda: EvalConfig(_LONG), "target_tol is past the float range, got <int too long to print>"),
         (lambda: ConstantQuery(4.0, _LONG), "d must be >= 1, got <int too long to print>"),
+        # bool and Decimal are not real numbers: neither is accepted anywhere
+        (lambda: EvalPoint(True, 0.5), "r must be a real number, got True"),
+        (lambda: EvalPoint(2.0, False), "x must be a real number, got False"),
+        (lambda: evaluate(EvalPoint(Decimal("2"), 0.3)), "r must be a real number, got Decimal('2')"),
+        (lambda: sinc(Decimal("0.5")), "x must be a real number, got Decimal('0.5')"),
+        (lambda: min_constant(Decimal("4")), "q must be a real number, got Decimal('4')"),
+        (lambda: hurwitz_zeta(2.0, Decimal("1")), "a must be a real number, got Decimal('1')"),
+        (lambda: verify_global_min(Decimal("2"), 16), "r must be a real number, got Decimal('2')"),
+        (lambda: EvalConfig(Decimal("1e-10")), "target_tol must be a real number, got Decimal('1E-10')"),
+        (lambda: EvalConfig(_HUGE), f"target_tol is past the float range, got {_HUGE}"),
+        (lambda: EvalPoint(Fraction(_HUGE), 0.5), f"r is past the float range, got Fraction({_HUGE}, 1)"),
+        (lambda: SincPolynomial("3", ()), "r must be an integer, got '3'"),
+        (lambda: SincPolynomial(None, ()), "r must be an integer, got None"),
+        (lambda: SincPolynomial(True, (Fraction(1),)), "r must be an integer, got True"),
+        (lambda: SincPolynomial(0, ()), "r must be >= 1, got 0"),
     ],
     ids=[
         "constant-query", "min-constant", "hurwitz-s", "hurwitz-a", "poly-eval",
         "huge-point-r", "huge-point-x", "huge-hurwitz-s", "huge-hurwitz-a", "huge-sinc",
         "huge-min-constant", "huge-constant-query", "huge-poly-eval", "sinc-str",
-        "sinc-sq-none", "long-config", "long-query-d",
+        "sinc-sq-none", "long-config", "long-query-d", "bool-point-r", "bool-point-x",
+        "decimal-evaluate", "decimal-sinc", "decimal-min-constant", "decimal-hurwitz-a",
+        "decimal-global-min", "decimal-config", "huge-config", "huge-fraction-point-r",
+        "str-poly-order", "none-poly-order", "bool-poly-order", "zero-poly-order",
     ],
 )
 def test_non_numbers_are_domain_errors(call, message):
     # each raised a raw TypeError, or for the huge and long ints a raw
-    # OverflowError or ValueError
+    # OverflowError or ValueError, or was accepted (a bool, EvalConfig's huge
+    # int, a Decimal on the compiled sinc); the polynomial orders raised
+    # CertificateError or a raw TypeError
     with pytest.raises(DomainError) as exc:
         call()
     assert str(exc.value) == message
+
+
+def _message_owners(fragment: str) -> list[str]:
+    """module:function for each string literal under the package, docstrings
+    aside, that contains ``fragment``."""
+    owners = []
+    for path in sorted(Path(sincsum.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and ast.get_docstring(node) is not None
+        }
+
+        def visit(node, where):
+            if isinstance(node, ast.FunctionDef):
+                where = f"{path.stem}:{node.name}"
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and fragment in node.value
+                and id(node) not in docstrings
+            ):
+                owners.append(where)
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(tree, path.stem)
+    return owners
+
+
+@pytest.mark.parametrize("fragment", ["must be a real number", "past the float range"])
+def test_real_argument_rule_has_one_owner(fragment):
+    # a second validator writing either message would bring back a second
+    # meaning of "a real argument"
+    assert _message_owners(fragment) == ["core:_real"]
+
+
+def test_real_arguments_are_stored_as_floats():
+    # int and Fraction are real numbers: converted to float once, at the boundary
+    for point in (EvalPoint(Fraction(5, 2), Fraction(1, 3)), EvalPoint(2, 0)):
+        assert (type(point.r), type(point.x)) == (float, float)
+    assert EvalPoint(Fraction(5, 2), Fraction(1, 3)) == EvalPoint(2.5, 1 / 3)
+    assert repr(EvalPoint(2, 0)) == "EvalPoint(r=2.0, x=0.0)"
+    assert repr(EvalConfig(Fraction(1, 10**10))) == "EvalConfig(target_tol=1e-10)"
+    assert repr(ConstantQuery(4).q) == "4.0"
+    assert repr(poly_eval(poly_f(1), Fraction(1, 2))) == "1.0"
+    # the range messages show the converted value
+    with pytest.raises(DomainError, match=f"^r must exceed {R_MIN} .*, got 0.0$"):
+        EvalPoint(0, 0.5)
 
 
 def test_domain_edges_accepted():
