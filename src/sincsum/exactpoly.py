@@ -31,10 +31,11 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from numbers import Rational
 from operator import or_
 
 from .core import _check_index, _check_x, _show
-from .errors import CertificateError, SizeLimitError
+from .errors import CertificateError, DomainError, SizeLimitError
 
 #: Largest supported polynomial order; keeps the exact factorial scaling
 #: and coefficient bit-growth desk-scale.
@@ -55,9 +56,18 @@ class SincPolynomial:
 
     def __post_init__(self):
         _check_index(self.r, "r", 1)
-        if len(self.coeffs) != self.r:
+        coeffs = self.coeffs
+        # a tuple of Fractions, as poly_f builds, passes the in-line test with
+        # no call per coefficient; anything else is checked one by one
+        if not (coeffs.__class__ is tuple and all(c.__class__ is Fraction for c in coeffs)):
+            if not isinstance(coeffs, tuple):
+                raise DomainError(f"coeffs must be a tuple, got {_show(coeffs)}")
+            for k, c in enumerate(coeffs):
+                if isinstance(c, bool) or not isinstance(c, Rational):
+                    raise DomainError(f"coeffs[{k}] must be a rational number, got {_show(c)}")
+        if len(coeffs) != self.r:
             raise CertificateError(
-                f"P_{self.r} needs exactly {self.r} coefficients, got {len(self.coeffs)}"
+                f"P_{self.r} needs exactly {self.r} coefficients, got {len(coeffs)}"
             )
 
     @property

@@ -21,6 +21,7 @@ the quotient form away from it, with input boxes split at the boundary.
 import math
 
 from .._kernels_py import _DSINC_COEF
+from ..core import _real
 from ..errors import SincsumError
 
 #: Outward inflation applied after every elementary operation.
@@ -48,8 +49,15 @@ class Interval:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: float, hi: float):
-        if not (lo <= hi) or not (math.isfinite(lo) and math.isfinite(hi)):
-            raise EnclosureError(f"invalid interval endpoints [{lo}, {hi}]")
+        # two finite, ordered floats pass the in-line test without a call;
+        # anything else is converted by the real-argument rule, then tested
+        if not (
+            lo.__class__ is float and hi.__class__ is float and -math.inf < lo <= hi < math.inf
+        ):
+            lo = _real(lo, "lo")
+            hi = _real(hi, "hi")
+            if not -math.inf < lo <= hi < math.inf:  # nan fails it too
+                raise EnclosureError(f"invalid interval endpoints [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
 

@@ -9,8 +9,9 @@ The majorization check shares no state with the others, so where
 ``os.fork`` exists and the caller runs a single thread, it runs in a forked
 child beside the corpus, grid, proof-chain and manifest checks and sends
 its result back through a pipe.  Otherwise it runs in-process.  The report
-bytes are the same either way.  Each check times itself, so under
-``--timings`` the times can add up to more than the run's wall time.
+bytes are the same either way.  One helper, ``_row``, runs and times each
+check and makes it a CheckResult, in the child too, so under ``--timings``
+the times can add up to more than the run's wall time.
 """
 
 import math
@@ -80,15 +81,24 @@ def _finite_or_none(v) -> float | None:
     return v if math.isfinite(v) else None
 
 
-def _majorization_check(cfg: SuiteConfig) -> CheckResult:
+def _row(check_id: str, check, *args) -> CheckResult:
+    """Run ``check(*args)`` and make its outcome a report row, timed with it.
+
+    ``check`` returns (status, worst_margin, witness, boxes_visited, detail);
+    a non-finite margin is reported as None.  The check functions, one per
+    family of rows, look their engine function up in this module's globals
+    at each call, so that it can be patched or traced.
+    """
     t0 = time.perf_counter()
-    maj = majorization_property(cfg.trials, cfg.seed)
+    status, margin, witness, boxes, detail = check(*args)
     return CheckResult(
-        check_id="majorization_random_instances",
-        status="passed" if maj.violations == 0 else "failed",
-        worst_margin=_finite_or_none(maj.min_margin),
-        wall_time_ms=1e3 * (time.perf_counter() - t0),
+        check_id, status, _finite_or_none(margin), witness, boxes,
+        1e3 * (time.perf_counter() - t0), detail,
     )
+
+
+def _verdict(ok: bool) -> str:
+    return "passed" if ok else "failed"
 
 
 def _fork_call(fn):
@@ -177,7 +187,8 @@ def _child_result(pid: int, pipe):
 
 def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[CheckResult]:
     """Run every check and return results sorted by check id."""
-    child = _fork_call(lambda: astuple(_majorization_check(cfg)))
+    majorization = ("majorization_random_instances", _majorization, cfg)
+    child = _fork_call(lambda: astuple(_row(*majorization)))
     try:
         results = _other_checks(cfg)
     except BaseException:
@@ -187,7 +198,7 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[CheckResult]:
             _kill_child(pid)
         raise
     if child is None:
-        results.append(_majorization_check(cfg))
+        results.append(_row(*majorization))
     else:
         results.append(CheckResult(*_child_result(*child)))
     results.sort(key=lambda c: c.check_id)
@@ -196,86 +207,58 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> list[CheckResult]:
 
 def _other_checks(cfg: SuiteConfig) -> list[CheckResult]:
     """Every check but the majorization one."""
+    return [
+        *(_row(f"corpus_{entry.id}", _certified, entry) for entry in corpus()),
+        _row("const_quartic_coefficient_margin", _quartic),
+        *(_row(f"globalmin_r{r:.6g}", _global_min, r, cfg.grid) for r in GLOBAL_MIN_R),
+        *(_row(f"proofchain_r{r:.6g}", _proof_chain, r) for r in PROOF_CHAIN_R),
+        _row("manifest_corpus_match", _manifest),
+    ]
+
+
+def _majorization(cfg: SuiteConfig):
+    maj = majorization_property(cfg.trials, cfg.seed)
+    return _verdict(maj.violations == 0), maj.min_margin, None, None, None
+
+
+def _certified(entry):
+    out = certify(entry)
+    return out.status, out.worst_margin, out.witness, out.boxes_visited, None
+
+
+def _quartic():
+    margin = quartic_coefficient_margin()
+    ok = margin > -2.0 and abs(margin - QUARTIC_MARGIN_REF) <= 1e-6
+    return _verdict(ok), margin - (-2.0), None if ok else margin, None, None
+
+
+def _global_min(r: float, grid: int):
+    rep = verify_global_min(r, grid_n=grid)
+    witness = rep.worst_x if rep.status == "failed" else None
+    return rep.status, rep.worst_margin, witness, None, None
+
+
+def _proof_chain(r: float):
+    worst = math.inf
+    worst_x = None
+    ok = True
+    for x in PROOF_CHAIN_X:
+        w = proof_chain(r, x)
+        low = min(w.margins.values())
+        if low < worst:
+            worst = low
+            worst_x = x
+        ok = ok and w.passed
+    return _verdict(ok), worst, None if ok else worst_x, None, None
+
+
+def _manifest():
     # deferred import: manifest loading needs the corpus registry, which
     # lives beside this module
     from ..manifest import load_default_manifest, manifest_check
 
-    results: list[CheckResult] = []
-
-    for entry in corpus():
-        t0 = time.perf_counter()
-        out = certify(entry)
-        results.append(
-            CheckResult(
-                check_id=f"corpus_{out.id}",
-                status=out.status,
-                worst_margin=_finite_or_none(out.worst_margin),
-                witness=out.witness,
-                boxes_visited=out.boxes_visited,
-                wall_time_ms=1e3 * (time.perf_counter() - t0),
-            )
-        )
-
-    t0 = time.perf_counter()
-    margin_const = quartic_coefficient_margin()
-    scalar_ok = margin_const > -2.0 and abs(margin_const - QUARTIC_MARGIN_REF) <= 1e-6
-    results.append(
-        CheckResult(
-            check_id="const_quartic_coefficient_margin",
-            status="passed" if scalar_ok else "failed",
-            worst_margin=margin_const - (-2.0),
-            witness=None if scalar_ok else margin_const,
-            wall_time_ms=1e3 * (time.perf_counter() - t0),
-        )
-    )
-
-    for r in GLOBAL_MIN_R:
-        t0 = time.perf_counter()
-        rep = verify_global_min(r, grid_n=cfg.grid)
-        results.append(
-            CheckResult(
-                check_id=f"globalmin_r{rep.r:.6g}",
-                status=rep.status,
-                worst_margin=_finite_or_none(rep.worst_margin),
-                witness=rep.worst_x if rep.status == "failed" else None,
-                wall_time_ms=1e3 * (time.perf_counter() - t0),
-            )
-        )
-
-    for r in PROOF_CHAIN_R:
-        t0 = time.perf_counter()
-        worst = math.inf
-        worst_x = None
-        ok = True
-        for x in PROOF_CHAIN_X:
-            w = proof_chain(r, x)
-            low = min(w.margins.values())
-            if low < worst:
-                worst = low
-                worst_x = x
-            ok = ok and w.passed
-        results.append(
-            CheckResult(
-                check_id=f"proofchain_r{r:.6g}",
-                status="passed" if ok else "failed",
-                worst_margin=_finite_or_none(worst),
-                witness=None if ok else worst_x,
-                wall_time_ms=1e3 * (time.perf_counter() - t0),
-            )
-        )
-
-    t0 = time.perf_counter()
     man = manifest_check(load_default_manifest())
-    results.append(
-        CheckResult(
-            check_id="manifest_corpus_match",
-            status="passed" if man.passed else "failed",
-            worst_margin=_finite_or_none(man.equality_worst),
-            wall_time_ms=1e3 * (time.perf_counter() - t0),
-            detail=None if man.passed else man.diff + "".join(
-                f"{line}\n" for line in man.equality_failures
-            ),
-        )
+    detail = None if man.passed else man.diff + "".join(
+        f"{line}\n" for line in man.equality_failures
     )
-
-    return results
+    return _verdict(man.passed), man.equality_worst, None, None, detail

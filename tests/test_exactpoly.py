@@ -183,3 +183,9 @@ class TestMinCertificate:
     def test_structure_validation(self):
         with pytest.raises(CertificateError):
             SincPolynomial(2, (F(1),))  # wrong length
+        with pytest.raises(CertificateError):
+            SincPolynomial(2, (F(1), F(1), F(1)))
+
+    def test_integer_coefficients_accepted(self):
+        # an int is a numbers.Rational: P_1 written with ints steps as with Fractions
+        assert poly_step(SincPolynomial(1, (1,))) == poly_f(2)

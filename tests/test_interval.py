@@ -32,6 +32,15 @@ class TestConstruction:
         with pytest.raises(EnclosureError):
             Interval(0.0, math.inf)
 
+    @pytest.mark.parametrize(
+        "lo, hi", [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 0.0), (2, 1), (math.inf, math.inf)]
+    )
+    def test_non_finite_or_unordered_endpoints(self, lo, hi):
+        # numbers outside an interval's own rule stay EnclosureErrors,
+        # whether or not they came as floats
+        with pytest.raises(EnclosureError, match="^invalid interval endpoints"):
+            Interval(lo, hi)
+
     def test_constants_contain_truth(self):
         assert PI_I.lo < math.pi or PI_I.lo == math.pi
         assert PI_I.contains(float(mp.pi)) or (PI_I.lo <= mp.pi <= PI_I.hi)

@@ -2,13 +2,14 @@
 whatever is passed where it takes a number; and the command line exits with
 a documented code and one stderr line on any flag value argparse parses.
 
-The library half calls each public callable with one numeric parameter
-replaced by junk: None, a bool, a str, a Decimal, a Fraction, a complex,
-an int past the float range, -0.0, nan, +-inf, subnormals, a list, and the
-floats, small ints, fractions and decimals hypothesis draws.  Parameters
-that take an object (an EvalPoint, a SincPolynomial, a ConstantQuery)
-are outside the real-argument rule; they are named in OBJECT_PARAMS, and
-callables that take only such objects in SKIPPED, each with the reason.
+The library half calls each public callable of ``sincsum.__all__`` and
+``sincsum.verify.__all__`` with one parameter replaced by junk: None, a
+bool, a str, a Decimal, a Fraction, a complex, an int past the float range,
+-0.0, nan, +-inf, subnormals, a list, and the floats, small ints, fractions
+and decimals hypothesis draws.  Parameters that take an object (an
+EvalPoint, a SincPolynomial, an Interval) are outside the real-argument
+rule; they are named in OBJECT_PARAMS, and callables that take only such
+objects in SKIPPED, each with the reason.
 
 Both halves are seeded (``derandomize=True``) with a fixed example count,
 so each run draws the same values.
@@ -24,20 +25,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sincsum
+import sincsum.verify
 from helpers import run_cli
 from sincsum import SincsumError, poly_f
-from sincsum.verify import majorization_property, proof_chain, verify_global_min
-
-#: Public callables checked beyond ``sincsum.__all__``.
-EXTRA = {
-    "majorization_property": majorization_property,
-    "proof_chain": proof_chain,
-    "verify_global_min": verify_global_min,
-}
 
 #: Each checked callable's valid arguments, by parameter name.  Every
-#: parameter not in OBJECT_PARAMS takes a number and is given junk in turn;
-#: the valid values keep each call small (a 16-point grid, one trial).
+#: parameter not in OBJECT_PARAMS takes a number, or SincPolynomial's tuple
+#: of them, and is given junk in turn; the valid values keep each call small
+#: (a 16-point grid, one trial).
 CHECKED = {
     "ConstantQuery": {"q": 4.0, "d": 1},
     "EvalConfig": {"target_tol": 1e-10},
@@ -58,27 +53,32 @@ CHECKED = {
     "majorization_property": {"trials": 1, "seed": 0},
     "proof_chain": {"r": 2.0, "x": 0.3},
     "verify_global_min": {"r": 2.0, "grid_n": 16},
+    "Interval": {"lo": 0.25, "hi": 0.5},
+    "SuiteConfig": {"grid": 16, "seed": 0, "trials": 1},
 }
 
 #: Parameters of checked callables that take an object, not a number.
 OBJECT_PARAMS = {
-    ("SincPolynomial", "coeffs"): "a tuple of Fractions, the polynomial itself",
-    ("poly_eval", "p"): "a SincPolynomial, which checks its own order",
+    ("poly_eval", "p"): "a SincPolynomial, which checks its own order and coefficients",
 }
 
 _RECORD = "a plain record of results computed elsewhere; it validates nothing"
 _POINT = "takes an EvalPoint (and an EvalConfig), which check their own numbers"
-_POLY = "takes a SincPolynomial, which checks its own order"
+_POLY = "takes a SincPolynomial, which checks its own order and coefficients"
+_CONSTANT = "a float constant, not a callable"
+_EXCEPTION = "an exception class"
+_NO_ARGS = "takes no arguments"
+_INTERVAL = "takes Intervals, which check their own endpoints"
 
 #: Public names outside the real-argument rule, with the reason.
 SKIPPED = {
     "BACKEND": "a string, not a callable",
     "__version__": "a string, not a callable",
-    "CertificateError": "an exception class",
-    "DomainError": "an exception class",
-    "PrecisionError": "an exception class",
-    "SincsumError": "an exception class",
-    "SizeLimitError": "an exception class",
+    "CertificateError": _EXCEPTION,
+    "DomainError": _EXCEPTION,
+    "PrecisionError": _EXCEPTION,
+    "SincsumError": _EXCEPTION,
+    "SizeLimitError": _EXCEPTION,
     "ConstantReport": _RECORD,
     "EvalResult": _RECORD,
     "ZetaEvenValue": _RECORD,
@@ -89,6 +89,25 @@ SKIPPED = {
     "poly_min_certificate": _POLY,
     "poly_step": _POLY,
     "transference_factor": "takes a ConstantQuery, which checks its own q and d",
+    # sincsum.verify
+    "ANTISYM_TOL": _CONSTANT,
+    "EPS_CERT": _CONSTANT,
+    "GRID_TOL": _CONSTANT,
+    "THRESHOLD": _CONSTANT,
+    "EnclosureError": _EXCEPTION,
+    "CheckResult": _RECORD,
+    "GlobalMinReport": _RECORD,
+    "MajorizationReport": _RECORD,
+    "ProofChainWitness": _RECORD,
+    "CertifiedInequality": "a claim over an Interval domain and interval functions; "
+    "it checks only its claim word",
+    "certify": "takes a CertifiedInequality",
+    "corpus": _NO_ARGS,
+    "quartic_coefficient_margin": _NO_ARGS,
+    "dsinc_iv": _INTERVAL,
+    "intersect": _INTERVAL,
+    "sinc_iv": _INTERVAL,
+    "run_suite": "takes a SuiteConfig, which checks its own grid, seed and trials",
 }
 
 #: Junk every numeric parameter is given, each value on every parameter.
@@ -111,11 +130,12 @@ JUNK = st.one_of(
 
 
 def _public(name):
-    return EXTRA[name] if name in EXTRA else getattr(sincsum, name)
+    return getattr(sincsum if name in sincsum.__all__ else sincsum.verify, name)
 
 
 def test_every_public_name_is_checked_or_skipped():
-    names = set(sincsum.__all__) | set(EXTRA)
+    assert not set(sincsum.__all__) & set(sincsum.verify.__all__)
+    names = set(sincsum.__all__) | set(sincsum.verify.__all__)
     assert not set(CHECKED) & set(SKIPPED)
     assert names == set(CHECKED) | set(SKIPPED), "a public name is in neither table"
     for name, valid in CHECKED.items():

@@ -35,7 +35,7 @@ from sincsum import (
 )
 from sincsum.core import R_MAX, R_MIN
 from sincsum.evaluate import EvalResult
-from sincsum.verify import verify_global_min
+from sincsum.verify import Interval, verify_global_min
 
 MISSING = dataclasses.MISSING
 
@@ -251,6 +251,18 @@ _LONG = -(10**5000)  # past str's 4300-digit limit: formatting raises ValueError
         (lambda: SincPolynomial(None, ()), "r must be an integer, got None"),
         (lambda: SincPolynomial(True, (Fraction(1),)), "r must be an integer, got True"),
         (lambda: SincPolynomial(0, ()), "r must be >= 1, got 0"),
+        (lambda: SincPolynomial(2, (0.5, 0.5)), "coeffs[0] must be a rational number, got 0.5"),
+        (lambda: SincPolynomial(1, ("a",)), "coeffs[0] must be a rational number, got 'a'"),
+        (lambda: SincPolynomial(2, (Fraction(1), True)), "coeffs[1] must be a rational number, got True"),
+        (lambda: SincPolynomial(1, None), "coeffs must be a tuple, got None"),
+        (lambda: SincPolynomial(1, [Fraction(1)]), "coeffs must be a tuple, got [Fraction(1, 1)]"),
+        (lambda: Interval("a", 1.0), "lo must be a real number, got 'a'"),
+        (lambda: Interval(None, 1.0), "lo must be a real number, got None"),
+        (lambda: Interval(0.0, "1"), "hi must be a real number, got '1'"),
+        (lambda: Interval(True, 2.0), "lo must be a real number, got True"),
+        (lambda: Interval(Decimal(1), 2.0), "lo must be a real number, got Decimal('1')"),
+        (lambda: Interval(_HUGE, 10 * _HUGE), f"lo is past the float range, got {_HUGE}"),
+        (lambda: Interval(0.0, _HUGE), f"hi is past the float range, got {_HUGE}"),
     ],
     ids=[
         "constant-query", "min-constant", "hurwitz-s", "hurwitz-a", "poly-eval",
@@ -260,13 +272,18 @@ _LONG = -(10**5000)  # past str's 4300-digit limit: formatting raises ValueError
         "decimal-evaluate", "decimal-sinc", "decimal-min-constant", "decimal-hurwitz-a",
         "decimal-global-min", "decimal-config", "huge-config", "huge-fraction-point-r",
         "str-poly-order", "none-poly-order", "bool-poly-order", "zero-poly-order",
+        "float-poly-coeffs", "str-poly-coeffs", "bool-poly-coeffs", "none-poly-coeffs",
+        "list-poly-coeffs", "str-interval-lo", "none-interval-lo", "str-interval-hi",
+        "bool-interval-lo", "decimal-interval-lo", "huge-interval-lo", "huge-interval-hi",
     ],
 )
 def test_non_numbers_are_domain_errors(call, message):
     # each raised a raw TypeError, or for the huge and long ints a raw
     # OverflowError or ValueError, or was accepted (a bool, EvalConfig's huge
     # int, a Decimal on the compiled sinc); the polynomial orders raised
-    # CertificateError or a raw TypeError
+    # CertificateError or a raw TypeError; SincPolynomial took any coeffs but
+    # None, and Interval raised a raw TypeError or OverflowError or took a
+    # bool or a Decimal
     with pytest.raises(DomainError) as exc:
         call()
     assert str(exc.value) == message
@@ -318,6 +335,7 @@ def test_real_arguments_are_stored_as_floats():
     assert repr(EvalConfig(Fraction(1, 10**10))) == "EvalConfig(target_tol=1e-10)"
     assert repr(ConstantQuery(4).q) == "4.0"
     assert repr(poly_eval(poly_f(1), Fraction(1, 2))) == "1.0"
+    assert repr(Interval(1, Fraction(3, 2))) == "[1.0, 1.5]"
     # the range messages show the converted value
     with pytest.raises(DomainError, match=f"^r must exceed {R_MIN} .*, got 0.0$"):
         EvalPoint(0, 0.5)
