@@ -5,7 +5,8 @@ that test on both backends, the check that the two kernel twins agree.
 
 The default ``verify`` report is kept as text.  The larger outputs are
 kept as sha256 digests in ``digests.txt``, one line each (``digests`` says
-which), every float as ``float.hex``; the eval-stream points come from the
+which), every float as ``float.hex``; ``FORMAT_ARGS`` pins the bytes of
+each output format the command line writes.  The eval-stream points come from the
 benchmark's ``perfbench/workloads.py``, read but not changed.  After a
 change that moves numbers on purpose, rewrite the files from the
 repository root with
@@ -56,6 +57,18 @@ EXACT_ARGS = (
     "constants --q 60 --d 3 --format json",  # past q = 50, log zeta(q) is 3 series terms
     "constants --q 1e6 --format json",  # the same, past the cap, where exact_c_q is null
     "constants --q 2.5 --format json",  # the one that goes through zeta_em
+)
+
+#: One command per output format the command line writes, byte for byte.
+FORMAT_ARGS = (
+    "eval --r 2.5 --x 0.3",  # JSON, the default
+    "eval --r 2.5 --x 0.3 --format csv",
+    "eval --r 8 --x 0.25 --format csv",  # the polynomial route
+    "poly --r 5",  # CSV, the default: the coefficient list
+    "constants --q 4 --d 2 --format csv",
+    "constants --q 3000 --format csv",  # c_q underflows to 0; exact_c_q is null
+    "figure --grid 33",  # CSV, the default: one row per point
+    "figure --grid 33 --format svg",
 )
 
 
@@ -122,7 +135,7 @@ def digests() -> str:
     for r in GLOBAL_MIN_R:
         text = _deriv_hex(r, grid)
         lines.append(f"{_sha256(text)}  power_sum_deriv r={r!r} at i/{grid - 1}, float.hex\n")
-    lines += (f"{_sha256(_cli(args))}  {args}\n" for args in EXACT_ARGS)
+    lines += (f"{_sha256(_cli(args))}  {args}\n" for args in EXACT_ARGS + FORMAT_ARGS)
     return "".join(lines)
 
 
