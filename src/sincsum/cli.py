@@ -9,6 +9,14 @@ verify      full certification suite, JSON report, exit code 0/1/2
 figure      power sum curves for r = 1.02^k, k in {1,2,4,...,256}, as CSV
             (or a simple SVG line plot)
 
+Output formats: eval, poly --format json, constants and verify each build
+one record.  JSON is the record with sorted keys; CSV is a header of the
+record's keys, in record order, and one row.  A CSV field is a float to 15
+significant digits, an empty field for null, or the value's str.  poly's
+default CSV is its coefficient list, and figure's CSV has one row per point
+under the header x,r,f_r(x).  _record renders every record, and _csv
+every header-and-rows table.
+
 Exit codes: 0 success; 1 verify found a violated/failed check; 2 domain
 error (or verify found an inconclusive check); 3 requested precision
 unreachable; 4 output path unwritable; 5 internal error (any other
@@ -60,30 +68,29 @@ def _emit(text: str, output: str | None) -> int:
     return EXIT_OK
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.15g}"
+def _field(v) -> str:
+    # the one CSV field rule: null is empty, a float has 15 significant digits
+    return "" if v is None else f"{v:.15g}" if isinstance(v, float) else str(v)
+
+
+def _csv(header, rows) -> str:
+    """A CSV header line and one line per row."""
+    lines = [",".join(header), *(",".join(map(_field, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
+def _record(record: dict, fmt: str) -> str:
+    """``record`` as JSON with sorted keys, or as a CSV header of its keys
+    and one row of its values, both in record order."""
+    if fmt == "csv":
+        return _csv(record, [record.values()])
+    return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
 def cmd_eval(args) -> int:
-    point = EvalPoint(r=args.r, x=args.x)
-    cfg = EvalConfig(target_tol=args.tol)
-    res = evaluate(point, cfg)
-    if args.format == "csv":
-        text = "r,x,value,method_spread\n" + ",".join(
-            (_fmt(args.r), _fmt(args.x), _fmt(res.value), _fmt(res.spread))
-        ) + "\n"
-    else:
-        text = json.dumps(
-            {
-                "r": args.r,
-                "x": args.x,
-                "value": res.value,
-                "method_spread": res.spread,
-            },
-            sort_keys=True,
-            indent=2,
-        ) + "\n"
-    return _emit(text, args.output)
+    res = evaluate(EvalPoint(r=args.r, x=args.x), EvalConfig(target_tol=args.tol))
+    record = {"r": args.r, "x": args.x, "value": res.value, "method_spread": res.spread}
+    return _emit(_record(record, args.format), args.output)
 
 
 def cmd_poly(args) -> int:
@@ -93,35 +100,17 @@ def cmd_poly(args) -> int:
     if poly is None:
         raise SizeLimitError(f"r must be an integer in [1, {R_CAP}], got {args.r}")
     min_value, _ = poly_min_certificate(poly)
-    fracs = [f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator) for c in poly.coeffs]
-    if args.format == "json":
-        text = json.dumps(
-            {
-                "r": poly.r,
-                "coeffs": fracs,
-                "min_value": f"{min_value.numerator}/{min_value.denominator}",
-            },
-            sort_keys=True,
-            indent=2,
-        ) + "\n"
-    else:
-        text = ", ".join(fracs) + "\n"
-    return _emit(text, args.output)
+    fracs = [str(c) for c in poly.coeffs]  # n/d, or n when d is 1
+    if args.format == "csv":
+        return _emit(", ".join(fracs) + "\n", args.output)
+    min_text = f"{min_value.numerator}/{min_value.denominator}"  # always n/d, "1/1" included
+    record = {"r": poly.r, "coeffs": fracs, "min_value": min_text}
+    return _emit(_record(record, "json"), args.output)
 
 
 def cmd_constants(args) -> int:
     report = transference_factor(ConstantQuery(q=args.q, d=args.d))
-    payload = report.to_json_dict()
-    if args.format == "csv":
-        # every field of the JSON, in to_json_dict order; None is an empty field
-        row = [
-            "" if v is None else _fmt(v) if isinstance(v, float) else str(v)
-            for v in payload.values()
-        ]
-        text = ",".join(payload) + "\n" + ",".join(row) + "\n"
-    else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    return _emit(text, args.output)
+    return _emit(_record(report.to_json_dict(), args.format), args.output)
 
 
 def cmd_verify(args) -> int:
@@ -134,7 +123,7 @@ def cmd_verify(args) -> int:
         code = EXIT_INCONCLUSIVE
     else:
         code = EXIT_OK
-    payload = {
+    record = {
         "schema": "sincsum-verification-report/1",
         "grid": cfg.grid,
         "tol": GRID_TOL,
@@ -143,11 +132,10 @@ def cmd_verify(args) -> int:
         "passed": code == EXIT_OK,
         "checks": [c.to_json_dict(include_timings=args.timings) for c in results],
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     for c in results:
         if c.detail:
             sys.stderr.write(f"{c.check_id} {c.status}:\n{c.detail}")
-    emit_code = _emit(text, args.output)
+    emit_code = _emit(_record(record, "json"), args.output)
     return emit_code if emit_code != EXIT_OK else code
 
 
@@ -210,11 +198,8 @@ def cmd_figure(args) -> int:
     curves = _figure_rows(args.grid)
     if args.format == "svg":
         return _emit(_figure_svg(curves), args.output)
-    lines = ["x,r,f_r(x)"]
-    for r, xs, ys in curves:
-        for x, y in zip(xs, ys):
-            lines.append(f"{_fmt(x)},{_fmt(r)},{_fmt(y)}")
-    return _emit("\n".join(lines) + "\n", args.output)
+    rows = ((x, r, y) for r, xs, ys in curves for x, y in zip(xs, ys))
+    return _emit(_csv(("x", "r", "f_r(x)"), rows), args.output)
 
 
 def build_parser() -> argparse.ArgumentParser:
