@@ -21,8 +21,9 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
+from ..core import _real, _show
 from ..errors import DomainError
-from .interval import EnclosureError, Interval, intersect
+from .interval import EnclosureError, Interval, _not_interval, intersect
 
 #: Certification slack at and around equality points.
 EPS_CERT = 1e-13
@@ -55,6 +56,19 @@ class CertifiedInequality:
     def __post_init__(self):
         if self.claim not in CLAIMS:
             raise DomainError(f"claim must be one of {CLAIMS}, got {self.claim!r}")
+        if self.domain.__class__ is not Interval:
+            raise _not_interval(self.domain, "domain")
+        if not callable(self.expression):
+            raise DomainError(f"expression must be callable, got {_show(self.expression)}")
+        if not (self.dexpression is None or callable(self.dexpression)):
+            raise DomainError(
+                f"dexpression must be None or callable, got {_show(self.dexpression)}"
+            )
+        if not isinstance(self.equality_points, tuple):
+            raise DomainError(f"equality_points must be a tuple, got {_show(self.equality_points)}")
+        self.equality_points = tuple(
+            _real(p, f"equality_points[{k}]") for k, p in enumerate(self.equality_points)
+        )
 
 
 def _lower_margin(enc: Interval, claim: str) -> float:
@@ -66,11 +80,15 @@ def _upper_margin(enc: Interval, claim: str) -> float:
     return enc.hi if claim == "nonnegative" else -enc.lo
 
 
-def _try_eval(fn, box: Interval) -> Interval | None:
+def _try_eval(ineq: CertifiedInequality, name: str, box: Interval) -> Interval | None:
+    """``ineq``'s ``name`` function ("expression" or "dexpression") on
+    ``box``; None when it has no finite enclosure there."""
     try:
-        out = fn(box)
+        out = getattr(ineq, name)(box)
     except EnclosureError:
         return None
+    if out.__class__ is not Interval:
+        raise _not_interval(out, f"{ineq.id}: {name}(box)")
     if not (math.isfinite(out.lo) and math.isfinite(out.hi)):
         return None
     return out
@@ -87,8 +105,8 @@ def _centered_enclosure(ineq: CertifiedInequality, box: Interval) -> Interval | 
     best = None
     for c in centers:
         hull = Interval(min(box.lo, c), max(box.hi, c))
-        fc = _try_eval(ineq.expression, Interval.point(c))
-        dfb = _try_eval(ineq.dexpression, hull)
+        fc = _try_eval(ineq, "expression", Interval.point(c))
+        dfb = _try_eval(ineq, "dexpression", hull)
         if fc is None or dfb is None:
             continue
         enc = fc + dfb * (box - c)
@@ -130,7 +148,7 @@ def certify(ineq: CertifiedInequality) -> CertifiedInequality:
         lo, hi, depth = stack.pop()
         boxes += 1
         box = Interval(lo, hi)
-        enc = _try_eval(ineq.expression, box)
+        enc = _try_eval(ineq, "expression", box)
 
         decided = False
         if enc is not None:
@@ -155,7 +173,7 @@ def certify(ineq: CertifiedInequality) -> CertifiedInequality:
         mid = box.mid
         at_floor = (hi - lo) <= _MIN_WIDTH or not lo < mid < hi
         if at_floor or (enc is not None and _upper_margin(enc, claim) < -EPS_CERT):
-            point = _try_eval(ineq.expression, Interval.point(mid))
+            point = _try_eval(ineq, "expression", Interval.point(mid))
             if point is not None and _upper_margin(point, claim) < -EPS_CERT:
                 witness = mid
                 break

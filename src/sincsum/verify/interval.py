@@ -21,8 +21,8 @@ the quotient form away from it, with input boxes split at the boundary.
 import math
 
 from .._kernels_py import _DSINC_COEF
-from ..core import _real
-from ..errors import SincsumError
+from ..core import _real, _show
+from ..errors import DomainError, SincsumError
 
 #: Outward inflation applied after every elementary operation.
 ULPS = 4.0
@@ -221,7 +221,18 @@ class Interval:
         return self._wave(math.cos, 0.0, math.pi)
 
 
+def _not_interval(value, name: str) -> DomainError:
+    """The error for ``value``, passed as ``name`` where an Interval is
+    taken.  Callers test ``value.__class__ is Interval`` in line, which
+    costs no call on the per-box paths."""
+    return DomainError(f"{name} must be an Interval, got {_show(value)}")
+
+
 def intersect(a: Interval, b: Interval) -> Interval | None:
+    if a.__class__ is not Interval:
+        raise _not_interval(a, "a")
+    if b.__class__ is not Interval:
+        raise _not_interval(b, "b")
     lo = max(a.lo, b.lo)
     hi = min(a.hi, b.hi)
     if lo > hi:
@@ -297,6 +308,8 @@ def _split_hull(x: Interval, series, quotient) -> Interval:
 
 def sinc_iv(x: Interval) -> Interval:
     """Enclosure of sin(pi t)/(pi t) over t in x."""
+    if x.__class__ is not Interval:
+        raise _not_interval(x, "x")
     return _split_hull(x, _sinc_series, _sinc_quotient)
 
 
@@ -314,4 +327,6 @@ def _dsinc_quotient(x: Interval) -> Interval:
 
 def dsinc_iv(x: Interval) -> Interval:
     """Enclosure of d/dt [sin(pi t)/(pi t)] over t in x."""
+    if x.__class__ is not Interval:
+        raise _not_interval(x, "x")
     return _split_hull(x, _dsinc_series, _dsinc_quotient)

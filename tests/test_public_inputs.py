@@ -68,7 +68,10 @@ _POLY = "takes a SincPolynomial, which checks its own order and coefficients"
 _CONSTANT = "a float constant, not a callable"
 _EXCEPTION = "an exception class"
 _NO_ARGS = "takes no arguments"
-_INTERVAL = "takes Intervals, which check their own endpoints"
+_INTERVAL = (
+    "takes Intervals, which check their own endpoints; "
+    "anything else is a DomainError naming the argument"
+)
 
 #: Public names outside the real-argument rule, with the reason.
 SKIPPED = {
@@ -100,8 +103,10 @@ SKIPPED = {
     "MajorizationReport": _RECORD,
     "ProofChainWitness": _RECORD,
     "CertifiedInequality": "a claim over an Interval domain and interval functions; "
-    "it checks only its claim word",
-    "certify": "takes a CertifiedInequality",
+    "it refuses a non-Interval domain, a non-callable expression and equality points "
+    "that are not a tuple of real numbers with DomainError (test_value_types pins the messages)",
+    "certify": "takes a CertifiedInequality, which checks its own fields; an expression "
+    "value that is not an Interval is a DomainError naming the claim",
     "corpus": _NO_ARGS,
     "quartic_coefficient_margin": _NO_ARGS,
     "dsinc_iv": _INTERVAL,

@@ -35,7 +35,15 @@ from sincsum import (
 )
 from sincsum.core import R_MAX, R_MIN
 from sincsum.evaluate import EvalResult
-from sincsum.verify import Interval, verify_global_min
+from sincsum.verify import (
+    CertifiedInequality,
+    Interval,
+    certify,
+    dsinc_iv,
+    intersect,
+    sinc_iv,
+    verify_global_min,
+)
 
 MISSING = dataclasses.MISSING
 
@@ -212,6 +220,12 @@ def test_config_domain_messages(tol, message):
     assert str(exc.value) == message
 
 
+def _claim(**fields) -> CertifiedInequality:
+    """A small valid claim, sinc >= 0 on [0, 1/2], with ``fields`` replaced."""
+    valid = {"domain": Interval(0.0, 0.5), "expression": sinc_iv, "claim": "nonnegative"}
+    return CertifiedInequality("t", **{**valid, **fields})
+
+
 _HUGE = 10**400  # past the float range: math.isfinite raises OverflowError
 _LONG = -(10**5000)  # past str's 4300-digit limit: formatting raises ValueError
 
@@ -263,6 +277,25 @@ _LONG = -(10**5000)  # past str's 4300-digit limit: formatting raises ValueError
         (lambda: Interval(Decimal(1), 2.0), "lo must be a real number, got Decimal('1')"),
         (lambda: Interval(_HUGE, 10 * _HUGE), f"lo is past the float range, got {_HUGE}"),
         (lambda: Interval(0.0, _HUGE), f"hi is past the float range, got {_HUGE}"),
+        (lambda: _claim(domain=(0.0, 1.0)), "domain must be an Interval, got (0.0, 1.0)"),
+        (lambda: _claim(domain=None), "domain must be an Interval, got None"),
+        (lambda: _claim(expression=None), "expression must be callable, got None"),
+        (lambda: _claim(dexpression=0.5), "dexpression must be None or callable, got 0.5"),
+        (lambda: _claim(equality_points="0.5"), "equality_points must be a tuple, got '0.5'"),
+        (lambda: _claim(equality_points=(0.5, "1")), "equality_points[1] must be a real number, got '1'"),
+        (
+            lambda: certify(_claim(expression=lambda box: 0.5)),
+            "t: expression(box) must be an Interval, got 0.5",
+        ),
+        (
+            # an undecided enclosure, so that the mean-value form is tried
+            lambda: certify(_claim(expression=lambda box: Interval(-1.0, 1.0), dexpression=lambda box: None)),
+            "t: dexpression(box) must be an Interval, got None",
+        ),
+        (lambda: sinc_iv(0.5), "x must be an Interval, got 0.5"),
+        (lambda: dsinc_iv(None), "x must be an Interval, got None"),
+        (lambda: intersect(1.0, Interval(0.0, 1.0)), "a must be an Interval, got 1.0"),
+        (lambda: intersect(Interval(0.0, 1.0), (0.0, 1.0)), "b must be an Interval, got (0.0, 1.0)"),
     ],
     ids=[
         "constant-query", "min-constant", "hurwitz-s", "hurwitz-a", "poly-eval",
@@ -275,6 +308,10 @@ _LONG = -(10**5000)  # past str's 4300-digit limit: formatting raises ValueError
         "float-poly-coeffs", "str-poly-coeffs", "bool-poly-coeffs", "none-poly-coeffs",
         "list-poly-coeffs", "str-interval-lo", "none-interval-lo", "str-interval-hi",
         "bool-interval-lo", "decimal-interval-lo", "huge-interval-lo", "huge-interval-hi",
+        "tuple-claim-domain", "none-claim-domain", "none-claim-expression",
+        "float-claim-dexpression", "str-claim-equality-points", "str-claim-equality-point",
+        "float-expression-value", "none-dexpression-value", "float-sinc-iv", "none-dsinc-iv",
+        "float-intersect-a", "tuple-intersect-b",
     ],
 )
 def test_non_numbers_are_domain_errors(call, message):
@@ -283,7 +320,9 @@ def test_non_numbers_are_domain_errors(call, message):
     # int, a Decimal on the compiled sinc); the polynomial orders raised
     # CertificateError or a raw TypeError; SincPolynomial took any coeffs but
     # None, and Interval raised a raw TypeError or OverflowError or took a
-    # bool or a Decimal
+    # bool or a Decimal; CertifiedInequality took any domain, expression and
+    # equality points, and certify and the interval functions raised a raw
+    # AttributeError or TypeError on a non-Interval
     with pytest.raises(DomainError) as exc:
         call()
     assert str(exc.value) == message
