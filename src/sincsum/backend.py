@@ -27,7 +27,6 @@ BACKEND = _impl.backend_name()
 FLOAT_SLACK = _impl.FLOAT_SLACK
 sinc = _impl.sinc
 sinc_sq = _impl.sinc_sq
-dsinc = _impl.dsinc
 zeta_em = _impl.zeta_em
 power_sum_fixed = _impl.power_sum_fixed
 power_sum_zeta = _impl.power_sum_zeta
