@@ -6,8 +6,8 @@ that test on both backends, the check that the two kernel twins agree.
 The default ``verify`` report is kept as text.  The larger outputs are
 kept as sha256 digests in ``digests.txt``, one line each (``digests`` says
 which), every float as ``float.hex``; ``FORMAT_ARGS`` pins the bytes of
-each output format the command line writes.  The eval-stream points come from the
-benchmark's ``perfbench/workloads.py``, read but not changed.  After a
+each output format the command line writes.  The eval-stream points come
+from the benchmark's ``perfbench/workloads.py``, read but not changed.  After a
 change that moves numbers on purpose, rewrite the files from the
 repository root with
 
