@@ -103,8 +103,7 @@ def cmd_poly(args) -> int:
     fracs = [str(c) for c in poly.coeffs]  # n/d, or n when d is 1
     if args.format == "csv":
         return _emit(", ".join(fracs) + "\n", args.output)
-    min_text = f"{min_value.numerator}/{min_value.denominator}"  # always n/d, "1/1" included
-    record = {"r": poly.r, "coeffs": fracs, "min_value": min_text}
+    record = {"r": poly.r, "coeffs": fracs, "min_value": str(min_value)}
     return _emit(_record(record, "json"), args.output)
 
 

@@ -2,7 +2,7 @@
 the inequality corpus, grid verification of the global minimum, the
 randomized majorization check, and the proof-chain witness."""
 
-from .certify import EPS_CERT, CertifiedInequality, certify
+from .certify import EPS_CERT, CertifiedInequality, CertifyResult, certify
 from .corpus import THRESHOLD, corpus, quartic_coefficient_margin
 from .engine import (
     ANTISYM_TOL,
@@ -23,6 +23,7 @@ __all__ = [
     "GRID_TOL",
     "THRESHOLD",
     "CertifiedInequality",
+    "CertifyResult",
     "CheckResult",
     "EnclosureError",
     "GlobalMinReport",

@@ -1,10 +1,13 @@
 """Adaptive-bisection certification of sign claims over an interval.
 
-A claim is an expression, a closed domain, and a required sign
-(nonnegative or nonpositive).  The certifier bisects the domain and tries
-to decide the sign of the enclosure on each box; a box counts as certified
-when the claimed sign holds up to EPS_CERT = 1e-13, the documented slack
-that makes boundary equalities (f(0) = 0 etc.) certifiable at all.
+A claim (``CertifiedInequality``, a frozen value) is an expression, a
+closed domain, and a required sign (nonnegative or nonpositive).
+``certify`` bisects the domain and tries to decide the sign of the
+enclosure on each box; a box counts as certified when the claimed sign
+holds up to EPS_CERT = 1e-13, the documented slack that makes boundary
+equalities (f(0) = 0 etc.) certifiable at all.  It returns the outcome as
+a separate frozen ``CertifyResult``: the status, a witness of violation,
+the worst margin, the boxes visited and the undecided boxes.
 
 Where the naive enclosure is too loose, a mean-value (centered) form is
 tried: f(x) in f(c) + f'(hull(box, c)) * (x - c), with the center taken at
@@ -18,7 +21,7 @@ evaluation error; a loose box enclosure alone never declares violation.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from ..core import _real, _show
@@ -36,22 +39,17 @@ _MIN_WIDTH = 1e-8
 CLAIMS = ("nonnegative", "nonpositive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CertifiedInequality:
-    """A named sign claim over a closed interval plus its certification state."""
+    """A named sign claim over a closed interval; ``certify`` decides it."""
 
     id: str
     domain: Interval
     expression: Callable[[Interval], Interval]
     claim: str
-    status: str = "inconclusive"
-    witness: float | None = None
     dexpression: Callable[[Interval], Interval] | None = None
     equality_points: tuple[float, ...] = ()
     description: str = ""
-    worst_margin: float | None = None
-    boxes_visited: int = 0
-    diagnostics: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         if self.claim not in CLAIMS:
@@ -66,9 +64,25 @@ class CertifiedInequality:
             )
         if not isinstance(self.equality_points, tuple):
             raise DomainError(f"equality_points must be a tuple, got {_show(self.equality_points)}")
-        self.equality_points = tuple(
-            _real(p, f"equality_points[{k}]") for k, p in enumerate(self.equality_points)
-        )
+        points = tuple(_real(p, f"equality_points[{k}]") for k, p in enumerate(self.equality_points))
+        object.__setattr__(self, "equality_points", points)
+
+
+@dataclass(frozen=True)
+class CertifyResult:
+    """What ``certify`` found for one claim.
+
+    ``status`` is "certified", "violated" (``witness`` is a point that
+    breaks the claim) or "inconclusive" (``diagnostics`` names up to eight
+    undecided boxes).  ``worst_margin`` is the least claim-normalized lower
+    bound over the decided boxes, None when no box was decided.
+    """
+
+    status: str
+    witness: float | None
+    worst_margin: float | None
+    boxes_visited: int
+    diagnostics: tuple[str, ...]
 
 
 def _lower_margin(enc: Interval, claim: str) -> float:
@@ -119,8 +133,9 @@ def _centered_enclosure(ineq: CertifiedInequality, box: Interval) -> Interval | 
     return best
 
 
-def certify(ineq: CertifiedInequality) -> CertifiedInequality:
-    """Run adaptive bisection and return the claim with its status filled in.
+def certify(ineq: CertifiedInequality) -> CertifyResult:
+    """Run adaptive bisection on ``ineq`` and return its ``CertifyResult``;
+    the claim itself is a frozen value and is left as it was.
 
     Deterministic for fixed inputs: boxes are explored left to right,
     depth first, and the first confirmed witness stops the search.
@@ -191,11 +206,5 @@ def certify(ineq: CertifiedInequality) -> CertifiedInequality:
         status = "inconclusive"
     else:
         status = "certified"
-    return replace(
-        ineq,
-        status=status,
-        witness=witness,
-        worst_margin=None if not math.isfinite(worst) else worst,
-        boxes_visited=boxes,
-        diagnostics=tuple(diagnostics),
-    )
+    worst_margin = None if not math.isfinite(worst) else worst
+    return CertifyResult(status, witness, worst_margin, boxes, tuple(diagnostics))

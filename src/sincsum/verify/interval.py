@@ -21,7 +21,7 @@ the quotient form away from it, with input boxes split at the boundary.
 import math
 
 from .._kernels_py import _DSINC_COEF
-from ..core import _real, _show
+from ..core import _check_index, _real, _show
 from ..errors import DomainError, SincsumError
 
 #: Outward inflation applied after every elementary operation.
@@ -88,7 +88,7 @@ class Interval:
     def __add__(self, other):
         if isinstance(other, Interval):
             return Interval(_dn(self.lo + other.lo), _up(self.hi + other.hi))
-        v = float(other)
+        v = other if other.__class__ is float else _real(other, "other")
         return Interval(_dn(self.lo + v), _up(self.hi + v))
 
     __radd__ = __add__
@@ -99,11 +99,11 @@ class Interval:
     def __sub__(self, other):
         if isinstance(other, Interval):
             return Interval(_dn(self.lo - other.hi), _up(self.hi - other.lo))
-        v = float(other)
+        v = other if other.__class__ is float else _real(other, "other")
         return Interval(_dn(self.lo - v), _up(self.hi - v))
 
     def __rsub__(self, other):
-        v = float(other)
+        v = other if other.__class__ is float else _real(other, "other")
         return Interval(_dn(v - self.hi), _up(v - self.lo))
 
     def __mul__(self, other):
@@ -113,7 +113,7 @@ class Interval:
             p3 = self.hi * other.lo
             p4 = self.hi * other.hi
             return Interval(_dn(min(p1, p2, p3, p4)), _up(max(p1, p2, p3, p4)))
-        v = float(other)
+        v = other if other.__class__ is float else _real(other, "other")
         p1 = self.lo * v
         p2 = self.hi * v
         return Interval(_dn(min(p1, p2)), _up(max(p1, p2)))
@@ -129,7 +129,7 @@ class Interval:
             p3 = self.hi / other.lo
             p4 = self.hi / other.hi
             return Interval(_dn(min(p1, p2, p3, p4)), _up(max(p1, p2, p3, p4)))
-        v = float(other)
+        v = other if other.__class__ is float else _real(other, "other")
         if v == 0.0:
             raise EnclosureError("division by zero scalar")
         p1 = self.lo / v
@@ -137,7 +137,8 @@ class Interval:
         return Interval(_dn(min(p1, p2)), _up(max(p1, p2)))
 
     def __rtruediv__(self, other):
-        return Interval.point(float(other)) / self
+        v = other if other.__class__ is float else _real(other, "other")
+        return Interval.point(v) / self
 
     # -- powers and monotone transcendentals ---------------------------------
 
@@ -150,6 +151,8 @@ class Interval:
         return Interval(0.0, _up(m * m))
 
     def powi(self, n: int) -> "Interval":
+        if n.__class__ is not int:
+            _check_index(n, "n", -math.inf)  # the type rule alone; the sign is next
         if n < 0:
             raise EnclosureError("negative integer powers unsupported; divide instead")
         if n == 0:
@@ -176,6 +179,8 @@ class Interval:
         below zero only arise from outward rounding of quantities that are
         nonnegative by construction on the certification domains.
         """
+        if p.__class__ is not float:
+            p = _real(p, "p")
         lo, hi = self.lo, self.hi
         if lo < 0.0:
             if lo < -1e-12 or hi < 0.0:

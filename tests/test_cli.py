@@ -92,14 +92,19 @@ class TestPoly:
         code, out, _ = run_cli(["poly", "--r", "1"])
         assert out.strip() == "1"
 
-    def test_json_schema(self):
-        code, out, _ = run_cli(["poly", "--r", "4", "--format", "json"])
+    @pytest.mark.parametrize(
+        "r, coeffs, min_value",
+        [
+            (4, ["17/315", "4/7", "38/105", "4/315"], "17/315"),
+            # one fraction format for the whole record: min_value was "1/1" here
+            (1, ["1"], "1"),
+        ],
+        ids=["r4", "r1"],
+    )
+    def test_json_schema(self, r, coeffs, min_value):
+        code, out, _ = run_cli(["poly", "--r", str(r), "--format", "json"])
         payload = json.loads(out)
-        assert payload == {
-            "r": 4,
-            "coeffs": ["17/315", "4/7", "38/105", "4/315"],
-            "min_value": "17/315",
-        }
+        assert payload == {"r": r, "coeffs": coeffs, "min_value": min_value}
 
     def test_out_of_range(self):
         assert run_cli(["poly", "--r", "0"])[0] == 2

@@ -1,7 +1,9 @@
 """Soundness of the outward-rounded interval arithmetic."""
 
 import math
+import operator
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -87,6 +89,20 @@ class TestArithmeticContainment:
     def test_division_by_zero_interval(self):
         with pytest.raises(EnclosureError):
             Interval(1.0, 2.0) / Interval(-1.0, 1.0)
+
+    def test_exact_scalars_act_as_their_floats(self):
+        # an int or Fraction operand or exponent is converted once by the
+        # real-argument rule; test_value_types pins the refused ones
+        a = Interval(0.25, 2.0)
+        for exact, v in ((2, 2.0), (Fraction(1, 2), 0.5)):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                assert repr(op(a, exact)) == repr(op(a, v))
+                assert repr(op(exact, a)) == repr(op(v, a))
+            assert repr(a.pow_real(exact)) == repr(a.pow_real(v))
+
+    def test_negative_integer_power_is_an_enclosure_error(self):
+        with pytest.raises(EnclosureError, match="^negative integer powers"):
+            Interval(0.25, 2.0).powi(-1)
 
 
 class TestTrigEnclosures:

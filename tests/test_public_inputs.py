@@ -98,11 +98,12 @@ SKIPPED = {
     "GRID_TOL": _CONSTANT,
     "THRESHOLD": _CONSTANT,
     "EnclosureError": _EXCEPTION,
+    "CertifyResult": _RECORD,
     "CheckResult": _RECORD,
     "GlobalMinReport": _RECORD,
     "MajorizationReport": _RECORD,
     "ProofChainWitness": _RECORD,
-    "CertifiedInequality": "a claim over an Interval domain and interval functions; "
+    "CertifiedInequality": "a frozen claim over an Interval domain and interval functions; "
     "it refuses a non-Interval domain, a non-callable expression and equality points "
     "that are not a tuple of real numbers with DomainError (test_value_types pins the messages)",
     "certify": "takes a CertifiedInequality, which checks its own fields; an expression "

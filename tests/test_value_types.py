@@ -1,4 +1,5 @@
-"""The contract of the frozen value types EvalPoint, EvalConfig and EvalResult.
+"""The contract of the frozen value types EvalPoint, EvalConfig and EvalResult
+(and the freezing of sincsum.verify's CertifiedInequality and CertifyResult).
 
 They are dataclasses with validated construction: fields and defaults,
 immutability, eq, hash and repr, ``dataclasses.replace``, pickling, and the
@@ -37,6 +38,7 @@ from sincsum.core import R_MAX, R_MIN
 from sincsum.evaluate import EvalResult
 from sincsum.verify import (
     CertifiedInequality,
+    CertifyResult,
     Interval,
     certify,
     dsinc_iv,
@@ -75,9 +77,19 @@ def test_fields_and_defaults(cls, defaults):
     assert all(f.default_factory is MISSING for f in fields)
 
 
-@pytest.mark.parametrize("kind", sorted(SAMPLES))
+#: test_frozen's cases: the samples, plus sincsum.verify's claim and the
+#: outcome certify returns for it (a claim's Interval domain has no __eq__,
+#: so the eq and pickle contracts are the samples' alone)
+FROZEN = {
+    **SAMPLES,
+    "claim": (CertifiedInequality, lambda: _claim()),
+    "certify-result": (CertifyResult, lambda: CertifyResult("certified", None, 0.0, 1, ())),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FROZEN))
 def test_frozen(kind):
-    _, make = SAMPLES[kind]
+    _, make = FROZEN[kind]
     obj = make()
     for f in dataclasses.fields(obj):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -226,8 +238,27 @@ def _claim(**fields) -> CertifiedInequality:
     return CertifiedInequality("t", **{**valid, **fields})
 
 
+def test_claim_checks_cannot_be_undone():
+    # a mutable claim let `c.domain = (0.0, 1.0)` undo its construction
+    # checks, and certify then raised a raw AttributeError; the outcome
+    # fields were the claim's own too, and any caller could set them
+    claim = _claim(equality_points=(0, Fraction(1, 2)))
+    assert [type(p) for p in claim.equality_points] == [float, float]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        claim.domain = (0.0, 1.0)
+    assert [f.name for f in dataclasses.fields(CertifiedInequality)] == [
+        "id", "domain", "expression", "claim", "dexpression", "equality_points", "description",
+    ]
+    fresh = dataclasses.replace(claim)
+    res = certify(claim)
+    assert type(res) is CertifyResult
+    assert (res.status, res.witness, res.diagnostics) == ("certified", None, ())
+    assert claim == fresh
+
+
 _HUGE = 10**400  # past the float range: math.isfinite raises OverflowError
 _LONG = -(10**5000)  # past str's 4300-digit limit: formatting raises ValueError
+_UNIT = Interval(0.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -277,6 +308,16 @@ _LONG = -(10**5000)  # past str's 4300-digit limit: formatting raises ValueError
         (lambda: Interval(Decimal(1), 2.0), "lo must be a real number, got Decimal('1')"),
         (lambda: Interval(_HUGE, 10 * _HUGE), f"lo is past the float range, got {_HUGE}"),
         (lambda: Interval(0.0, _HUGE), f"hi is past the float range, got {_HUGE}"),
+        (lambda: _UNIT + "a", "other must be a real number, got 'a'"),
+        (lambda: _UNIT * None, "other must be a real number, got None"),
+        (lambda: _UNIT + True, "other must be a real number, got True"),
+        (lambda: _UNIT / Decimal(2), "other must be a real number, got Decimal('2')"),
+        (lambda: None - _UNIT, "other must be a real number, got None"),
+        (lambda: 1j / _UNIT, "other must be a real number, got 1j"),
+        (lambda: _UNIT - _HUGE, f"other is past the float range, got {_HUGE}"),
+        (lambda: _UNIT.powi(2.5), "n must be an integer, got 2.5"),
+        (lambda: _UNIT.powi(True), "n must be an integer, got True"),
+        (lambda: _UNIT.pow_real("x"), "p must be a real number, got 'x'"),
         (lambda: _claim(domain=(0.0, 1.0)), "domain must be an Interval, got (0.0, 1.0)"),
         (lambda: _claim(domain=None), "domain must be an Interval, got None"),
         (lambda: _claim(expression=None), "expression must be callable, got None"),
@@ -308,6 +349,9 @@ _LONG = -(10**5000)  # past str's 4300-digit limit: formatting raises ValueError
         "float-poly-coeffs", "str-poly-coeffs", "bool-poly-coeffs", "none-poly-coeffs",
         "list-poly-coeffs", "str-interval-lo", "none-interval-lo", "str-interval-hi",
         "bool-interval-lo", "decimal-interval-lo", "huge-interval-lo", "huge-interval-hi",
+        "str-interval-add", "none-interval-mul", "bool-interval-add", "decimal-interval-div",
+        "none-interval-rsub", "complex-interval-rdiv", "huge-interval-sub", "float-interval-powi",
+        "bool-interval-powi", "str-interval-pow-real",
         "tuple-claim-domain", "none-claim-domain", "none-claim-expression",
         "float-claim-dexpression", "str-claim-equality-points", "str-claim-equality-point",
         "float-expression-value", "none-dexpression-value", "float-sinc-iv", "none-dsinc-iv",
@@ -320,7 +364,9 @@ def test_non_numbers_are_domain_errors(call, message):
     # int, a Decimal on the compiled sinc); the polynomial orders raised
     # CertificateError or a raw TypeError; SincPolynomial took any coeffs but
     # None, and Interval raised a raw TypeError or OverflowError or took a
-    # bool or a Decimal; CertifiedInequality took any domain, expression and
+    # bool or a Decimal, and so did its scalar operands, which otherwise
+    # raised a raw ValueError or TypeError, as pow_real did; powi took a
+    # float or a bool; CertifiedInequality took any domain, expression and
     # equality points, and certify and the interval functions raised a raw
     # AttributeError or TypeError on a non-Interval
     with pytest.raises(DomainError) as exc:
